@@ -23,8 +23,9 @@
 #  - the paper-scale run (7,104 racks x 8 servers, 6h + 6h,
 #    HierarchyZone) must sustain PAPER_RACKS_PER_S_MIN and stay
 #    under PAPER_PEAK_RSS_MB_MAX — the streaming-window + resident-
-#    fleet footprint (~178 racks/s, ~14 GB with the compact
-#    quantized columns; the gate landed at ~55 racks/s, ~29 GB);
+#    fleet footprint (BENCH_trace_sim.json records 111.3 racks/s
+#    and 11,951 MB with the compact quantized columns; the gate
+#    landed at ~55 racks/s, ~29 GB);
 #  - paper-scale trace generation must stay cheaper than the replay
 #    itself (gen_s < sim_s): the batch generator must never become
 #    the bottleneck of a policy study.

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full CI gate: tier-1 build + tests, the bench regression gates,
-# the static-analysis chain, ThreadSanitizer, and the suite under
+# Full CI gate: tier-1 build + tests, the repository benchmark's
+# correctness checks, the bench regression gates, the
+# static-analysis chain, ThreadSanitizer, and the suite under
 # UndefinedBehaviorSanitizer.
 # Each stage uses its own build directory so sanitizer flags never
 # leak between configurations.  Usage: scripts/ci_check.sh
@@ -11,6 +12,40 @@ echo "==== ci_check: tier-1 build + ctest ===="
 cmake -B "$ROOT/build" -S "$ROOT"
 cmake --build "$ROOT/build" -j "$(nproc)"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$(nproc)"
+
+echo "==== ci_check: benchmark correctness (bench/suite) ===="
+# The repository benchmark's own checks: replica bit-identity,
+# thread-count invariance and CLI rejections, then one short
+# measurement per workload at its pinned seed, where every run's
+# simulated statistics must equal the suite.json golden.  A
+# performance change that moved a golden fails here even when
+# every unit test passes.
+cmake -S "$ROOT/bench/suite" -B "$ROOT/build-bench"
+cmake --build "$ROOT/build-bench" -j "$(nproc)"
+ctest --test-dir "$ROOT/build-bench" --output-on-failure -L suite
+# Pins come from suite.json, so a re-pinned workload is still
+# checked against its golden; fail closed unless all five are read.
+set -- $(python3 -c '
+import json, sys
+for name, w in json.load(open(sys.argv[1]))["workloads"].items():
+    print(name, w["pinned_seed"])
+' "$ROOT/bench/suite/suite.json")
+[ $# -eq 10 ] || {
+    echo "FAIL: expected 5 pinned workloads in suite.json" >&2
+    exit 1
+}
+while [ $# -gt 0 ]; do
+    LAST=$("$ROOT/bench/suite/run.sh" --workload "$1" --seed "$2" \
+        --seconds 1 --trace 0 | tail -n 1)
+    case "$LAST" in
+      *'"correct": true'*'"failed": 0'*)
+        echo "benchmark $1 (seed $2): correct" ;;
+      *)
+        echo "FAIL: benchmark $1 (seed $2): $LAST" >&2
+        exit 1 ;;
+    esac
+    shift 2
+done
 
 echo "==== ci_check: bench gates ===="
 "$ROOT/scripts/bench_check.sh" "$ROOT/build"

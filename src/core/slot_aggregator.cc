@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "sim/stats.hh"
 
 namespace soc
 {
@@ -29,6 +32,22 @@ sortedMedian(const std::vector<double> &sorted)
         return sorted[mid];
     return 0.5 * (sorted[mid - 1] + sorted[mid]);
 }
+
+/** Median of @p values as sim::median computes it, selected in a
+ *  thread-local copy. */
+double
+medianOf(const std::deque<double> &values)
+{
+    thread_local std::vector<double> scratch;
+    scratch.assign(values.begin(), values.end());
+    return sim::medianInPlace(scratch.data(),
+                              scratch.data() + scratch.size());
+}
+
+constexpr auto kDaySlots =
+    static_cast<std::size_t>(sim::kSlotsPerDay);
+constexpr auto kWeekSlots =
+    static_cast<std::size_t>(sim::kSlotsPerWeek);
 
 } // namespace
 
@@ -71,32 +90,54 @@ SlotAggregator::SortedBag::median() const
 SlotAggregator::SlotAggregator(sim::Tick window)
     : window_(window)
 {
-    assert(window_ == 0 ||
-           (window_ >= sim::kSlot && window_ % sim::kSlot == 0));
+    // Checked in every build: an SoaConfig built directly never
+    // passes through the simulators' validate().
+    if (window_ < 0 || window_ % sim::kSlot != 0) {
+        throw std::invalid_argument(
+            "SlotAggregator: window " + std::to_string(window_) +
+            " is negative or not a multiple of the slot width");
+    }
 }
 
 void
 SlotAggregator::add(sim::Tick t, double value)
 {
-    assert(t >= 0);
-    assert(t > lastTick_);
+    if (t < 0 || t % sim::kSlot != 0) {
+        throw std::invalid_argument(
+            "SlotAggregator: tick " + std::to_string(t) +
+            " is negative or not slot-aligned");
+    }
+    // Positions stand in for ticks, so a skipped, repeated or
+    // out-of-order slot would silently shift every later sample
+    // into the wrong bucket.
+    const sim::Tick next = firstTick_ +
+        static_cast<sim::Tick>(ring_.size()) * sim::kSlot;
+    if (!ring_.empty() && t != next) {
+        throw std::invalid_argument(
+            "SlotAggregator: tick " + std::to_string(t) +
+            " is not the next slot " + std::to_string(next));
+    }
     // Reject non-finite telemetry before it is retained: a NaN
-    // breaks the ordering comparisons every bucket sort relies on,
-    // silently corrupting every median far from the cause.
+    // breaks the ordering comparisons every median and max relies
+    // on, silently corrupting them far from the cause.
     if (!std::isfinite(value)) {
         throw std::invalid_argument(
             "SlotAggregator: non-finite sample " +
             std::to_string(value) + " at tick " + std::to_string(t));
     }
-    lastTick_ = t;
-    samples_.emplace_back(t, value);
+    if (ring_.empty())
+        firstTick_ = t;
+    ring_.push_back(value);
     if (indexed_)
         indexSample(t, value);
-    else if (samples_.size() > kIndexThreshold)
+    else if (ring_.size() > kIndexThreshold)
         buildIndex();
     ++version_;
-    if (window_ > 0)
-        evictOlderThan(t + sim::kSlot - window_);
+    // Consecutive ticks: the window holds exactly window_ / kSlot
+    // slots, so at most the one oldest sample falls out per add.
+    if (window_ > 0 &&
+        static_cast<sim::Tick>(ring_.size()) * sim::kSlot > window_)
+        evictOldest();
 }
 
 void
@@ -131,31 +172,34 @@ SlotAggregator::buildIndex()
     // retained samples all along: bag contents are multisets (the
     // sorted-body/pending split is representation only), and
     // latest-wins per slot-of-week matches the arrival order.
-    for (const auto &[t, value] : samples_)
+    sim::Tick t = firstTick_;
+    for (double value : ring_) {
         indexSample(t, value);
+        t += sim::kSlot;
+    }
 }
 
 void
-SlotAggregator::evictOlderThan(sim::Tick cutoff)
+SlotAggregator::evictOldest()
 {
-    while (!samples_.empty() && samples_.front().first < cutoff) {
-        const auto [t, value] = samples_.front();
-        samples_.pop_front();
-        if (indexed_) {
-            all_.erase(value);
-            auto &bucket = sim::isWeekend(t)
-                ? weekend_[sim::slotOfDay(t)]
-                : weekday_[sim::slotOfDay(t)];
-            bucket.erase(value);
-            const int slot_of_week =
-                static_cast<int>((t % sim::kWeek) / sim::kSlot);
-            // Samples leave in tick order, so when the latest value
-            // of a slot-of-week is evicted no older one can remain.
-            if (weeklyTick_[slot_of_week] == t)
-                weeklyTick_[slot_of_week] = -1;
-        }
-        ++version_;
+    const sim::Tick t = firstTick_;
+    const double value = ring_.front();
+    ring_.pop_front();
+    firstTick_ += sim::kSlot;
+    if (indexed_) {
+        all_.erase(value);
+        auto &bucket = sim::isWeekend(t)
+            ? weekend_[sim::slotOfDay(t)]
+            : weekday_[sim::slotOfDay(t)];
+        bucket.erase(value);
+        const int slot_of_week =
+            static_cast<int>((t % sim::kWeek) / sim::kSlot);
+        // Samples leave in tick order, so when the latest value of a
+        // slot-of-week is evicted no older one can remain.
+        if (weeklyTick_[slot_of_week] == t)
+            weeklyTick_[slot_of_week] = -1;
     }
+    ++version_;
 }
 
 void
@@ -163,9 +207,9 @@ SlotAggregator::clear()
 {
     // Release everything outright (crash-restart forgets the shape
     // of the history too); storage regrows on demand.
-    samples_.clear();
-    samples_.shrink_to_fit();
-    lastTick_ = -1;
+    ring_.clear();
+    ring_.shrink_to_fit();
+    firstTick_ = 0;
     indexed_ = false;
     all_.values = {};
     all_.pending = {};
@@ -181,7 +225,7 @@ SlotAggregator::build(TemplateStrategy strategy) const
 {
     auto &entry = cache_[static_cast<std::size_t>(strategy)];
     if (!entry.valid || entry.version != version_) {
-        entry.tmpl = assemble(strategy);
+        assemble(strategy, entry.tmpl);
         entry.version = version_;
         entry.valid = true;
         ++rebuilds_;
@@ -189,147 +233,161 @@ SlotAggregator::build(TemplateStrategy strategy) const
     return entry.tmpl;
 }
 
-ProfileTemplate
-SlotAggregator::assemble(TemplateStrategy strategy) const
+void
+SlotAggregator::assemble(TemplateStrategy strategy,
+                         ProfileTemplate &out) const
 {
-    return indexed_ ? assembleFromIndex(strategy)
-                    : assembleFromRing(strategy);
+    // Reset to the batch builder's shape for this strategy: vectors
+    // the strategy does not fill are empty (clear() keeps their
+    // capacity, so a cache entry rebuilt every recompute stops
+    // reallocating once warm).
+    out.strategy_ = strategy;
+    out.flatValue_ = 0.0;
+    const bool daily = strategy == TemplateStrategy::DailyMed ||
+        strategy == TemplateStrategy::DailyMax;
+    if (!daily || empty()) {
+        out.weekday_.clear();
+        out.weekend_.clear();
+    }
+    if (strategy != TemplateStrategy::Weekly || empty())
+        out.weekly_.clear();
+    if (empty())
+        return;
+    if (indexed_)
+        assembleFromIndex(strategy, out);
+    else
+        assembleFromRing(strategy, out);
 }
 
-ProfileTemplate
-SlotAggregator::assembleFromRing(TemplateStrategy strategy) const
+void
+SlotAggregator::assembleFromRing(TemplateStrategy strategy,
+                                 ProfileTemplate &out) const
 {
     // Field-for-field mirror of ProfileTemplate::build over the
     // retained samples; the equivalence tests hold the two
-    // bit-identical for every strategy.
+    // bit-identical for every strategy.  Every median goes through
+    // sim::medianInPlace and every max through std::max_element on
+    // the values in arrival order — the batch builder's calls on
+    // the batch builder's sequences, so ties and equal-comparing
+    // values resolve identically too.
     //
     // Scratch is thread-local: contents are fully rewritten on
-    // every assemble, so the result is a pure function of samples_
+    // every assemble, so the result is a pure function of the ring
     // (deterministic across thread counts), and aggregators owned
-    // by different racks can build concurrently.  build() runs only
-    // at recompute boundaries, so sorting here instead of
-    // maintaining sorted buckets on every add() trades a few
-    // microseconds per rebuild for ~1.5 KB of resident state per
-    // retained slot per aggregator — the dominant share of the
-    // paper-scale footprint before this layout.
-    ProfileTemplate out;
-    out.strategy_ = strategy;
-    if (empty())
-        return out;
-
-    // All retained values, sorted: FlatMed/FlatMax directly, and
-    // the empty-bucket fallback median of Weekly/Daily*.
-    thread_local std::vector<double> all_sorted;
-    all_sorted.clear();
-    all_sorted.reserve(samples_.size());
-    for (const auto &[t, value] : samples_) {
-        (void)t;
-        all_sorted.push_back(value);
-    }
-    std::sort(all_sorted.begin(), all_sorted.end());
-
+    // by different racks can build concurrently.  Assembly is
+    // O(retained) with no sort — it runs at every recompute
+    // boundary for every server, while add() keeps only 8 B per
+    // retained slot.
+    const std::size_t n = ring_.size();
     switch (strategy) {
       case TemplateStrategy::FlatMed:
-        out.flatValue_ = sortedMedian(all_sorted);
-        return out;
+        out.flatValue_ = medianOf(ring_);
+        return;
       case TemplateStrategy::FlatMax:
-        out.flatValue_ = all_sorted.back();
-        return out;
+        out.flatValue_ =
+            *std::max_element(ring_.begin(), ring_.end());
+        return;
       case TemplateStrategy::Weekly: {
-        // Latest retained value per slot-of-week: samples_ is in
-        // tick order, so a forward scan leaves each slot holding
-        // its newest retained sample.
-        thread_local std::vector<double> latest;
-        thread_local std::vector<signed char> filled;
-        latest.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
-                      0.0);
-        filled.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
-                      0);
-        for (const auto &[t, value] : samples_) {
-            const auto slot = static_cast<std::size_t>(
-                (t % sim::kWeek) / sim::kSlot);
-            latest[slot] = value;
-            filled[slot] = 1;
+        // Consecutive ticks: the newest min(n, kSlotsPerWeek)
+        // samples sit in distinct slots of the week, each the
+        // latest retained sample of its slot; any other slot is
+        // unfilled and takes the window median.
+        const std::size_t newest = std::min(n, kWeekSlots);
+        if (newest < kWeekSlots)
+            out.weekly_.assign(kWeekSlots, medianOf(ring_));
+        else
+            out.weekly_.resize(kWeekSlots);
+        const sim::Tick from = firstTick_ +
+            static_cast<sim::Tick>(n - newest) * sim::kSlot;
+        auto slot = static_cast<std::size_t>(from % sim::kWeek /
+                                             sim::kSlot);
+        auto it = ring_.end() - static_cast<std::ptrdiff_t>(newest);
+        for (; it != ring_.end(); ++it) {
+            out.weekly_[slot] = *it;
+            if (++slot == kWeekSlots)
+                slot = 0;
         }
-        const double fallback = sortedMedian(all_sorted);
-        out.weekly_.assign(sim::kSlotsPerWeek, 0.0);
-        for (int s = 0; s < sim::kSlotsPerWeek; ++s) {
-            out.weekly_[s] = filled[static_cast<std::size_t>(s)]
-                ? latest[static_cast<std::size_t>(s)]
-                : fallback;
-        }
-        return out;
+        return;
       }
       case TemplateStrategy::DailyMed:
       case TemplateStrategy::DailyMax: {
+        // One counting pass: bucket k (weekday slot-of-day k, or
+        // weekend slot-of-day k - kSlotsPerDay) owns the run
+        // scratch[k * stride, k * stride + count[k]), filled in
+        // arrival order.  n consecutive slots touch at most
+        // n / kSlotsPerDay + 2 days, and a bucket gets at most one
+        // sample per day, so stride bounds every run.
+        const std::size_t stride = n / kDaySlots + 2;
+        thread_local std::vector<double> scratch;
+        thread_local std::vector<std::size_t> count;
+        scratch.resize(2 * kDaySlots * stride);
+        count.assign(2 * kDaySlots, 0);
+        auto slot =
+            static_cast<std::size_t>(sim::slotOfDay(firstTick_));
+        int day = sim::dayOfWeek(firstTick_);
+        std::size_t base = day >= 5 ? kDaySlots : 0;
+        for (double value : ring_) {
+            const std::size_t k = base + slot;
+            scratch[k * stride + count[k]++] = value;
+            if (++slot == kDaySlots) {
+                slot = 0;
+                day = day == 6 ? 0 : day + 1;
+                base = day >= 5 ? kDaySlots : 0;
+            }
+        }
+
         const bool use_max = strategy == TemplateStrategy::DailyMax;
-        // Scatter the ring into per-(weekday|weekend)×slot buckets
-        // in arrival order, then sort each bucket: the same sorted
-        // arrays the batch builder derives, at build time instead
-        // of incrementally.
-        thread_local std::vector<std::vector<double>> weekday;
-        thread_local std::vector<std::vector<double>> weekend;
-        weekday.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
-        weekend.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
-        for (auto &bucket : weekday)
-            bucket.clear();
-        for (auto &bucket : weekend)
-            bucket.clear();
-        for (const auto &[t, value] : samples_) {
-            const auto slot =
-                static_cast<std::size_t>(sim::slotOfDay(t));
-            (sim::isWeekend(t) ? weekend : weekday)[slot].push_back(
-                value);
-        }
-        const double fallback = sortedMedian(all_sorted);
-        auto aggregate = [use_max](std::vector<double> &bucket,
-                                   double fb) {
-            if (bucket.empty())
-                return fb;
-            std::sort(bucket.begin(), bucket.end());
-            return use_max ? bucket.back() : sortedMedian(bucket);
+        auto aggregate = [&](std::size_t k, double fallback) {
+            double *first = scratch.data() + k * stride;
+            double *last = first + count[k];
+            if (first == last)
+                return fallback;
+            return use_max ? *std::max_element(first, last)
+                           : sim::medianInPlace(first, last);
         };
-        out.weekday_.resize(sim::kSlotsPerDay);
-        out.weekend_.resize(sim::kSlotsPerDay);
-        for (int s = 0; s < sim::kSlotsPerDay; ++s) {
-            const auto slot = static_cast<std::size_t>(s);
-            out.weekday_[s] = aggregate(weekday[slot], fallback);
+        // The window median is read only through an empty weekday
+        // bucket; a window covering every weekday slot skips it.
+        const auto weekdays_end =
+            count.begin() + static_cast<std::ptrdiff_t>(kDaySlots);
+        const bool weekday_gap =
+            std::find(count.begin(), weekdays_end, std::size_t{0}) !=
+            weekdays_end;
+        const double fallback = weekday_gap ? medianOf(ring_) : 0.0;
+        out.weekday_.resize(kDaySlots);
+        out.weekend_.resize(kDaySlots);
+        for (std::size_t s = 0; s < kDaySlots; ++s) {
+            out.weekday_[s] = aggregate(s, fallback);
             out.weekend_[s] =
-                aggregate(weekend[slot], out.weekday_[s]);
+                aggregate(kDaySlots + s, out.weekday_[s]);
         }
-        return out;
+        return;
       }
     }
-    return out;
 }
 
-ProfileTemplate
-SlotAggregator::assembleFromIndex(TemplateStrategy strategy) const
+void
+SlotAggregator::assembleFromIndex(TemplateStrategy strategy,
+                                  ProfileTemplate &out) const
 {
     // Same mirror of ProfileTemplate::build, read from the
     // incrementally maintained bags: every bag read flushes first,
     // so medians/maxes come off the same sorted multisets the
-    // ring-mode scatter would produce.
-    ProfileTemplate out;
-    out.strategy_ = strategy;
-    if (empty())
-        return out;
-
+    // batch builder selects from.
     switch (strategy) {
       case TemplateStrategy::FlatMed:
         out.flatValue_ = all_.median();
-        return out;
+        return;
       case TemplateStrategy::FlatMax:
         out.flatValue_ = all_.max();
-        return out;
+        return;
       case TemplateStrategy::Weekly: {
-        out.weekly_.assign(sim::kSlotsPerWeek, 0.0);
+        out.weekly_.resize(sim::kSlotsPerWeek);
         const double fallback = all_.median();
         for (int s = 0; s < sim::kSlotsPerWeek; ++s) {
             out.weekly_[s] =
                 weeklyTick_[s] >= 0 ? weeklyLatest_[s] : fallback;
         }
-        return out;
+        return;
       }
       case TemplateStrategy::DailyMed:
       case TemplateStrategy::DailyMax: {
@@ -348,10 +406,9 @@ SlotAggregator::assembleFromIndex(TemplateStrategy strategy) const
             out.weekend_[s] =
                 aggregate(weekend_[s], out.weekday_[s]);
         }
-        return out;
+        return;
       }
     }
-    return out;
 }
 
 } // namespace core

@@ -10,15 +10,20 @@
  * resident footprint with a two-mode representation:
  *
  *  - **Ring mode** (small retained sets, the fleet-replay steady
- *    state): the only per-sample state is a window-bounded
- *    arrival-order ring; build(strategy) scatters it into
- *    thread-local bucket scratch and sorts at build time.  An
- *    earlier design maintained per-(weekday|weekend)×slot sorted
- *    buckets plus a global sorted bag incrementally on every add();
- *    at fleet scale that cost ~1.5 KB of resident bucket state per
- *    retained slot per server (280k+ aggregators resident),
- *    dominating the paper-scale footprint, while build() only runs
- *    at recompute boundaries — a handful of times per run.
+ *    state): the only per-sample state is a window-bounded ring of
+ *    values, 8 B per retained slot, plus the tick of the oldest
+ *    one.  Ticks are consecutive slots, so every sample's tick —
+ *    and with it its (weekday|weekend, slot-of-day) bucket — is
+ *    implied by its position.  build(strategy) assembles in one
+ *    pass without sorting: DailyMed/DailyMax count the ring into
+ *    per-bucket runs of thread-local scratch and take each run's
+ *    median or max, Weekly copies the newest week of the ring,
+ *    FlatMax is a max scan, and the window-wide median is selected
+ *    only when a template reads it (FlatMed, an unfilled Weekly
+ *    slot, an empty weekday bucket).  An earlier design maintained
+ *    sorted buckets incrementally on every add(); at fleet scale
+ *    that cost ~1.5 KB of resident state per retained slot per
+ *    server (280k+ aggregators resident).
  *  - **Indexed mode** (retention beyond kIndexThreshold slots —
  *    unbounded or multi-week windows): the ring is replayed once
  *    into the classic incremental structures (sorted bag per
@@ -33,8 +38,9 @@
  * representation change, never a behavior change.
  *
  * A version counter increments on every accepted sample (and every
- * eviction); build() caches the assembled template per strategy and
- * returns it untouched while the version is unchanged, which makes
+ * eviction); build() caches the assembled template per strategy,
+ * rebuilds it in place when the version moved, and returns it
+ * untouched while the version is unchanged, which makes
  * back-to-back gOA recomputes with no newly closed slot O(1).
  *
  * An optional window (0 = unbounded, the default) evicts samples
@@ -53,7 +59,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "core/profile_template.hh"
@@ -89,19 +94,21 @@ class SlotAggregator
      * @param window Eviction horizon; 0 keeps every sample forever
      *               (bit-identical to the unbounded batch builder).
      *               Must otherwise be a positive multiple of
-     *               sim::kSlot.
+     *               sim::kSlot; anything else throws
+     *               std::invalid_argument.
      */
     explicit SlotAggregator(sim::Tick window = 0);
 
     /**
-     * Fold in the sample of the slot starting at @p t.  Ticks must
-     * be strictly increasing across calls (the sOA feeds slots in
-     * the order they close).  @p value must be finite: NaN/Inf
-     * telemetry would corrupt the sort-based bucket aggregation
-     * (ordering comparisons stop meaning anything), so it is
-     * rejected here with std::invalid_argument (the aggregator is
-     * left unchanged).  Same fail-at-ingestion stance as
-     * BudgetAssignment validation.
+     * Fold in the sample of the slot starting at @p t.  The first
+     * sample (after construction or clear()) may start at any
+     * non-negative, slot-aligned tick; every later one must start
+     * at the next slot, t = previous + sim::kSlot (the sOA feeds
+     * one sample per consecutive slot, gap-filled).  @p value must
+     * be finite: NaN/Inf telemetry would corrupt every median and
+     * max built from it.  Any other tick or value is rejected with
+     * std::invalid_argument and leaves the aggregator unchanged.
+     * Same fail-at-ingestion stance as BudgetAssignment validation.
      */
     void add(sim::Tick t, double value);
 
@@ -109,8 +116,8 @@ class SlotAggregator
     void clear();
 
     sim::Tick window() const { return window_; }
-    bool empty() const { return samples_.empty(); }
-    std::size_t sampleCount() const { return samples_.size(); }
+    bool empty() const { return ring_.empty(); }
+    std::size_t sampleCount() const { return ring_.size(); }
 
     /** Monotonic counter bumped by every add() and eviction. */
     std::uint64_t version() const { return version_; }
@@ -177,25 +184,30 @@ class SlotAggregator
         void flushPending() const;
     };
 
-    void evictOlderThan(sim::Tick cutoff);
+    /** Drop the oldest retained sample (window eviction). */
+    void evictOldest();
     /** Feed one retained sample into the indexed structures. */
     void indexSample(sim::Tick t, double value);
     /** Replay the ring into the indexed structures (mode switch). */
     void buildIndex();
-    ProfileTemplate assemble(TemplateStrategy strategy) const;
-    ProfileTemplate assembleFromRing(TemplateStrategy strategy) const;
-    ProfileTemplate assembleFromIndex(TemplateStrategy strategy)
-        const;
+    /** Overwrite @p out with the template over the retained
+     *  samples, reusing its vectors' storage. */
+    void assemble(TemplateStrategy strategy,
+                  ProfileTemplate &out) const;
+    void assembleFromRing(TemplateStrategy strategy,
+                          ProfileTemplate &out) const;
+    void assembleFromIndex(TemplateStrategy strategy,
+                           ProfileTemplate &out) const;
 
     sim::Tick window_;
     std::uint64_t version_ = 0;
 
-    /** Last accepted tick (strict monotonicity check). */
-    sim::Tick lastTick_ = -1;
-    /** Retained samples in arrival (= tick) order — the complete
-     *  per-sample state in ring mode, and the eviction log in
-     *  indexed mode. */
-    std::deque<std::pair<sim::Tick, double>> samples_;
+    /** Tick of the oldest retained sample: the i-th retained value
+     *  covers the slot starting at firstTick_ + i * sim::kSlot. */
+    sim::Tick firstTick_ = 0;
+    /** Retained values in tick order — the complete per-sample
+     *  state in ring mode, and the eviction log in indexed mode. */
+    std::deque<double> ring_;
 
     /** True once the retained set crossed kIndexThreshold and the
      *  incremental structures below took over (sticky until

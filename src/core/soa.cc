@@ -878,22 +878,29 @@ ServerOverclockingAgent::refreshOwnTemplate(TemplateStrategy strategy)
     ++stats_.templateRebuilds;
 }
 
-ServerProfile
-ServerOverclockingAgent::buildProfile(TemplateStrategy strategy)
+void
+ServerOverclockingAgent::fillProfile(TemplateStrategy strategy,
+                                     ServerProfile &out)
 {
     const std::uint64_t misses_before = powerAgg_.rebuildCount() +
         utilAgg_.rebuildCount() + grantedCoresAgg_.rebuildCount() +
         requestedCoresAgg_.rebuildCount();
-    ServerProfile profile;
-    profile.power = powerAgg_.build(strategy);
-    profile.utilization = utilAgg_.build(strategy);
-    profile.overclockedCores = grantedCoresAgg_.build(strategy);
-    profile.requestedCores = requestedCoresAgg_.build(strategy);
+    out.power = powerAgg_.build(strategy);
+    out.utilization = utilAgg_.build(strategy);
+    out.overclockedCores = grantedCoresAgg_.build(strategy);
+    out.requestedCores = requestedCoresAgg_.build(strategy);
     const std::uint64_t misses = powerAgg_.rebuildCount() +
         utilAgg_.rebuildCount() + grantedCoresAgg_.rebuildCount() +
         requestedCoresAgg_.rebuildCount() - misses_before;
     stats_.templateRebuilds += misses;
     stats_.templateCacheHits += 4 - misses;
+}
+
+ServerProfile
+ServerOverclockingAgent::buildProfile(TemplateStrategy strategy)
+{
+    ServerProfile profile;
+    fillProfile(strategy, profile);
     return profile;
 }
 
@@ -909,7 +916,8 @@ ServerOverclockingAgent::profileSnapshot(TemplateStrategy strategy)
     if (!profileSnapshotValid_ ||
         strategy != profileSnapshotStrategy_ ||
         version != profileSnapshotVersion_) {
-        profileSnapshot_ = buildProfile(strategy);
+        // In place: once warm, a rebuild allocates nothing.
+        fillProfile(strategy, profileSnapshot_);
         profileSnapshotStrategy_ = strategy;
         profileSnapshotVersion_ = version;
         profileSnapshotValid_ = true;

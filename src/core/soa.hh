@@ -307,8 +307,8 @@ class ServerOverclockingAgent : public power::RackPowerListener
 
     /**
      * Build this server's profile from the collected telemetry.
-     * Served from the slot aggregators: O(kSlotsPerDay) per
-     * template on a cache miss, O(kSlotsPerDay) copies on a hit
+     * Served from the slot aggregators: one sort-free pass over the
+     * retained window per template on a cache miss, a copy on a hit
      * (no history scan either way).
      */
     ServerProfile buildProfile(TemplateStrategy strategy =
@@ -388,6 +388,10 @@ class ServerOverclockingAgent : public power::RackPowerListener
      *  into the series' slot aggregator. */
     static void pushSample(telemetry::TimeSeries &series,
                            SlotAggregator &aggregator, double value);
+
+    /** Copy-assign the four profile templates into @p out, reusing
+     *  its storage, and count aggregator cache hits/misses. */
+    void fillProfile(TemplateStrategy strategy, ServerProfile &out);
 
     /** Is any granted group held below its desired frequency, or
      *  was a request recently denied for lack of power budget?

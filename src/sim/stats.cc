@@ -202,17 +202,23 @@ meanSignedError(const std::vector<double> &actual,
 double
 median(std::vector<double> samples)
 {
-    if (samples.empty())
+    return medianInPlace(samples.data(),
+                         samples.data() + samples.size());
+}
+
+double
+medianInPlace(double *first, double *last)
+{
+    const auto size = static_cast<std::size_t>(last - first);
+    if (size == 0)
         return 0.0;
-    const std::size_t mid = samples.size() / 2;
-    std::nth_element(samples.begin(), samples.begin() + mid,
-                     samples.end());
-    double upper = samples[mid];
-    if (samples.size() % 2 == 1)
+    const std::size_t mid = size / 2;
+    std::nth_element(first, first + mid, last);
+    double upper = first[mid];
+    if (size % 2 == 1)
         return upper;
-    std::nth_element(samples.begin(), samples.begin() + mid - 1,
-                     samples.begin() + mid);
-    return 0.5 * (samples[mid - 1] + upper);
+    std::nth_element(first, first + mid - 1, first + mid);
+    return 0.5 * (first[mid - 1] + upper);
 }
 
 } // namespace sim

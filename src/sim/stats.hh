@@ -128,6 +128,14 @@ double meanSignedError(const std::vector<double> &actual,
 /** Exact median of a copied sample set; empty input yields 0. */
 double median(std::vector<double> samples);
 
+/**
+ * median() over [first, last) in place: reorders the range and
+ * selects the same two order statistics with the same nth_element
+ * calls, so the same input sequence yields the same double.  Empty
+ * input yields 0.
+ */
+double medianInPlace(double *first, double *last);
+
 } // namespace sim
 } // namespace soc
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/profile_template.hh"
@@ -274,6 +275,103 @@ TEST(SlotAggregator, RejectsNonFiniteSamplesAtIngestion)
     // free for a finite retry.
     agg.add(next, 250.0);
     EXPECT_EQ(agg.sampleCount(), history.size() + 1);
+}
+
+TEST(SlotAggregator, RingAssemblyMatchesSlicedBatchAcrossWindows)
+{
+    // Ring mode at every window shape it serves, from starts on
+    // either side of the weekend.  Between them these reach each
+    // case where assembly reads the window median: an empty
+    // weekday bucket (sub-day windows, weekend-only windows after
+    // the Saturday start), an unfilled Weekly slot (any window
+    // under a week), and neither (one- and two-week windows once
+    // full).
+    const sim::Tick windows[] = {kSlot, 7 * kSlot,
+                                 kDay + 5 * kSlot, kWeek, 2 * kWeek};
+    const sim::Tick starts[] = {
+        0,                                    // Monday 00:00
+        4 * kDay + 23 * sim::kHour,           // Friday 23:00
+        5 * kDay + 5 * sim::kMinute,          // Saturday 00:05
+        2 * kDay + 12 * sim::kHour,           // Wednesday 12:00
+    };
+    const int slots = 2 * sim::kSlotsPerWeek + sim::kSlotsPerDay + 7;
+    for (sim::Tick window : windows) {
+        for (sim::Tick start : starts) {
+            const auto history = randomHistory(
+                static_cast<std::uint64_t>(window + start), start,
+                slots);
+            SlotAggregator agg(window);
+            TimeSeries prefix(start, kSlot);
+            for (std::size_t i = 0; i < history.size(); ++i) {
+                agg.add(history.timeOf(i), history.at(i));
+                prefix.append(history.at(i));
+                if (i % 89 != 0 && i + 1 != history.size())
+                    continue;
+                const auto windowed =
+                    prefix.slice(prefix.end() - window, prefix.end());
+                SCOPED_TRACE("window " + std::to_string(window) +
+                             " start " + std::to_string(start));
+                expectMatchesBatch(agg, windowed);
+                EXPECT_EQ(agg.sampleCount(), windowed.size());
+            }
+        }
+    }
+}
+
+TEST(SlotAggregator, RejectsInvalidWindows)
+{
+    // Checked in every build type, not by assert: an SoaConfig
+    // built directly never passes through a simulator's validate().
+    for (sim::Tick window : {-kSlot, sim::Tick{-1}, kSlot + 1,
+                             kSlot / 2, kDay - 1}) {
+        EXPECT_THROW(SlotAggregator{window}, std::invalid_argument)
+            << "window " << window;
+    }
+    for (sim::Tick window : {sim::Tick{0}, kSlot, kWeek})
+        EXPECT_NO_THROW(SlotAggregator{window});
+}
+
+TEST(SlotAggregator, RejectsOutOfSequenceTicksLeavingStateUnchanged)
+{
+    SlotAggregator fresh;
+    // The first tick may be any non-negative slot start.
+    for (sim::Tick t : {-kSlot, sim::Tick{-1}, kSlot + 1, kDay - 7})
+        EXPECT_THROW(fresh.add(t, 1.0), std::invalid_argument)
+            << "first tick " << t;
+    EXPECT_TRUE(fresh.empty());
+
+    // Every later one must be the next slot: positions stand in for
+    // ticks, so a gap, a repeat or a step back would misfile every
+    // sample after it.
+    const auto history = randomHistory(78, 3 * kDay, 100);
+    auto agg = aggregate(history, kDay);
+    for (auto strategy : kAllStrategies)
+        (void)agg.build(strategy);
+    const std::uint64_t version = agg.version();
+    const std::uint64_t rebuilds = agg.rebuildCount();
+    const sim::Tick next = history.end();
+    const sim::Tick bad[] = {-kSlot,       next + 1,
+                             next - 1,     next + kSlot,
+                             next - kSlot, history.start(),
+                             0};
+    for (sim::Tick t : bad) {
+        EXPECT_THROW(agg.add(t, 250.0), std::invalid_argument)
+            << "tick " << t;
+    }
+    EXPECT_EQ(agg.version(), version);
+    EXPECT_EQ(agg.sampleCount(), history.size());
+    // Templates are unchanged and still cached.
+    expectMatchesBatch(agg, history);
+    EXPECT_EQ(agg.rebuildCount(), rebuilds);
+
+    agg.add(next, 250.0);
+    EXPECT_EQ(agg.sampleCount(), history.size() + 1);
+
+    // clear() forgets the sequence: any slot start may begin anew.
+    agg.clear();
+    agg.add(kSlot, 1.0);
+    agg.add(2 * kSlot, 2.0);
+    EXPECT_EQ(agg.sampleCount(), 2u);
 }
 
 TEST(ProfileTemplateEquality, DetectsEveryFieldDifference)

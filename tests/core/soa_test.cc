@@ -347,6 +347,45 @@ TEST(Soa, BuildProfileUsesCollectedTelemetry)
     EXPECT_GE(profile.utilization.predict(kMinute), 0.0);
 }
 
+TEST(Soa, ProfileSnapshotMatchesBuildProfileAcrossStrategies)
+{
+    // profileSnapshot() rebuilds into the storage of the previous
+    // snapshot.  Switching strategies changes which template
+    // vectors are filled, so storage reuse must never leave an
+    // earlier strategy's values behind — before or after a
+    // crash-restart empties the telemetry.
+    SoaConfig cfg;
+    cfg.templateWindow = sim::kDay;
+    Fixture fx(cfg);
+    fx.soa->assignBudget(ProfileTemplate::flat(800.0));
+    fx.soa->requestOverclock(fx.makeRequest(3 * sim::kHour), 0);
+    const TemplateStrategy sequence[] = {
+        TemplateStrategy::DailyMed, TemplateStrategy::Weekly,
+        TemplateStrategy::FlatMax, TemplateStrategy::DailyMed};
+    auto expect_snapshot_matches = [&](const char *phase) {
+        for (auto strategy : sequence) {
+            const ServerProfile &snap =
+                fx.soa->profileSnapshot(strategy);
+            const ServerProfile built =
+                fx.soa->buildProfile(strategy);
+            SCOPED_TRACE(std::string(phase) + " " +
+                         strategyName(strategy));
+            EXPECT_TRUE(snap.power == built.power);
+            EXPECT_TRUE(snap.utilization == built.utilization);
+            EXPECT_TRUE(snap.overclockedCores ==
+                        built.overclockedCores);
+            EXPECT_TRUE(snap.requestedCores == built.requestedCores);
+        }
+    };
+    fx.run(0, 26 * sim::kHour, kMinute);
+    expect_snapshot_matches("before crash");
+    const Tick crash = 26 * sim::kHour + kSecond;
+    fx.soa->crashRestart(crash);
+    expect_snapshot_matches("right after crash");
+    fx.run(crash + kMinute, crash + 2 * sim::kHour, kMinute);
+    expect_snapshot_matches("after crash");
+}
+
 TEST(Soa, BudgetWattsFallsBackToTdpBeforeAssignment)
 {
     Fixture fx;
