@@ -173,9 +173,11 @@ class GlobalOverclockingAgent
      * budgets.  The first half of recompute(now), exposed so a
      * hierarchical tier (core::BudgetHierarchy) can aggregate the
      * rack's profiles before deciding its budget; the pulled
-     * profiles stay cached for recomputeWithBudget.  Pulling twice
-     * without an intervening slot close is a cache hit with no
-     * observable effect — the two-phase sequence
+     * profiles stay cached for recomputeWithBudget.  Each pull
+     * copies every sOA's aggregator-cached templates once into
+     * that server's entry, so pulling twice without an intervening
+     * slot close assembles nothing and yields the same profiles —
+     * the two-phase sequence
      * pullProfiles() + recomputeWithBudget(now, flat usable row)
      * is bit-identical to recompute(now) (see splitWeeklyInto).
      */
@@ -218,8 +220,9 @@ class GlobalOverclockingAgent
   private:
     /**
      * Pull telemetry (through @p faults when hooked) and refresh
-     * lastProfiles_/lastProfileValid_; unreachable servers keep
-     * their cached profile.
+     * lastProfiles_/lastProfileValid_: each reached sOA writes its
+     * profile into its entry in place (readProfile); unreachable
+     * servers' entries are left untouched.
      */
     void collectProfiles(const RecomputeFaults &faults);
 

@@ -140,6 +140,14 @@ SlotAggregator::add(sim::Tick t, double value)
         evictOldest();
 }
 
+double
+SlotAggregator::latest() const
+{
+    if (ring_.empty())
+        throw std::logic_error("SlotAggregator: latest() while empty");
+    return ring_.back();
+}
+
 void
 SlotAggregator::indexSample(sim::Tick t, double value)
 {

@@ -3,11 +3,14 @@
  * Incremental, exact power-template maintenance (§IV-B DailyMed
  * aggregation made an always-on path).
  *
- * ProfileTemplate::build scans a server's *entire* telemetry history
- * on every call: with weekly recomputes over an unbounded history
- * the per-recompute cost grows O(t) and the whole-run cost O(t²) per
- * rack.  SlotAggregator bounds both the rebuild cost and the
- * resident footprint with a two-mode representation:
+ * The sOA's five SlotAggregators are the only resident copy of its
+ * closed-slot telemetry: every template and every gOA profile pull
+ * is served from them.  ProfileTemplate::build, the batch reference,
+ * scans a whole history on every call: with weekly recomputes over
+ * an unbounded history the per-recompute cost grows O(t) and the
+ * whole-run cost O(t²) per rack.  SlotAggregator bounds both the
+ * rebuild cost and the resident footprint with a two-mode
+ * representation:
  *
  *  - **Ring mode** (small retained sets, the fleet-replay steady
  *    state): the only per-sample state is a window-bounded ring of
@@ -71,10 +74,9 @@ namespace core
 
 /**
  * Exact incremental slot aggregation with per-strategy template
- * caching.  Not thread-safe; each sOA owns its aggregators, like
- * the telemetry series they shadow.  (Ring-mode assembly uses
- * thread-local scratch, so distinct aggregators may build
- * concurrently from distinct threads.)
+ * caching.  Not thread-safe; each sOA owns its aggregators.
+ * (Ring-mode assembly uses thread-local scratch, so distinct
+ * aggregators may build concurrently from distinct threads.)
  */
 class SlotAggregator
 {
@@ -118,6 +120,10 @@ class SlotAggregator
     sim::Tick window() const { return window_; }
     bool empty() const { return ring_.empty(); }
     std::size_t sampleCount() const { return ring_.size(); }
+
+    /** Value of the newest sample (the sOA's gap-fill repeats it).
+     *  Throws std::logic_error when empty. */
+    double latest() const;
 
     /** Monotonic counter bumped by every add() and eviction. */
     std::uint64_t version() const { return version_; }

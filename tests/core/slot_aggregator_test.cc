@@ -374,6 +374,27 @@ TEST(SlotAggregator, RejectsOutOfSequenceTicksLeavingStateUnchanged)
     EXPECT_EQ(agg.sampleCount(), 2u);
 }
 
+TEST(SlotAggregator, LatestIsTheNewestSampleInEveryMode)
+{
+    // The sOA's gap-fill repeats latest(), so it must track the
+    // newest sample through window evictions and across the switch
+    // to indexed mode.
+    const auto history = randomHistory(
+        91, 2 * kDay,
+        static_cast<int>(SlotAggregator::kIndexThreshold) + 50);
+    SlotAggregator unbounded;
+    SlotAggregator windowed(kDay);
+    EXPECT_THROW((void)unbounded.latest(), std::logic_error);
+    for (std::size_t i = 0; i < history.size(); ++i) {
+        unbounded.add(history.timeOf(i), history.at(i));
+        windowed.add(history.timeOf(i), history.at(i));
+        ASSERT_EQ(unbounded.latest(), history.at(i)) << "sample " << i;
+        ASSERT_EQ(windowed.latest(), history.at(i)) << "sample " << i;
+    }
+    windowed.clear();
+    EXPECT_THROW((void)windowed.latest(), std::logic_error);
+}
+
 TEST(ProfileTemplateEquality, DetectsEveryFieldDifference)
 {
     const auto history = randomHistory(51, 0, sim::kSlotsPerDay * 9);
