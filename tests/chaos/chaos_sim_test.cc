@@ -266,6 +266,10 @@ TEST(ChaosValidation, ServiceSimConfigRejectsNonsense)
     expect_throws([](ServiceSimConfig &c) {
         c.faults.budgetLossProb = -0.5;
     });
+    expect_throws(
+        [](ServiceSimConfig &c) { c.templateWindow = -sim::kWeek; });
+    expect_throws(
+        [](ServiceSimConfig &c) { c.templateWindow = sim::kSlot + 1; });
     EXPECT_NO_THROW(ServiceSimConfig{}.validate());
 
     ServiceSimConfig bad;

@@ -12,6 +12,8 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/goa.hh"
 #include "core/soa.hh"
@@ -386,14 +388,33 @@ struct GoaFixture {
 TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
 {
     GoaFixture fx;
-    // Prime the profile cache with one clean recompute.
-    fx.goa->recompute(0);
+    const auto tick_both = [&](Tick from, Tick to) {
+        for (Tick t = from; t < to; t += sim::kSlot) {
+            fx.a0->tick(t);
+            fx.a1->tick(t);
+        }
+    };
+    // Prime the profile cache with one clean recompute over an hour
+    // of telemetry; no tick in between, so this read is exactly
+    // server 0's pulled profile.
+    tick_both(0, kHour + sim::kSlot);
+    fx.goa->recompute(kHour);
     ASSERT_EQ(fx.goa->stats().staleProfiles, 0u);
+    ServerProfile stale0;
+    fx.a0->readProfile(stale0, fx.goa->config().strategy);
+
+    // Both servers' load changes before the next pull, so a fresh
+    // profile differs from the cached one.
+    for (auto [server, util] : {std::pair{0, 0.9}, std::pair{1, 0.2}}) {
+        power::Server &s = fx.rack.server(server);
+        s.setUtil(s.groups().front().id, util);
+    }
+    tick_both(kHour + sim::kSlot, 3 * kHour + sim::kSlot);
 
     RecomputeFaults rf;
     rf.telemetryAttempts = 3;
     rf.telemetryLost = [](int server, int) { return server == 0; };
-    const auto batch = fx.goa->recompute(kHour, rf);
+    const auto batch = fx.goa->recompute(3 * kHour, rf);
 
     // Server 0 failed all three pulls; its budget was computed from
     // the cached profile, and it still receives an assignment.
@@ -401,7 +422,23 @@ TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
     EXPECT_EQ(fx.goa->stats().staleProfiles, 1u);
     ASSERT_EQ(batch.size(), 2u);
     for (const auto &pending : batch)
-        EXPECT_TRUE(fx.goa->deliver(pending, kHour));
+        EXPECT_TRUE(fx.goa->deliver(pending, 3 * kHour));
+
+    // The split saw server 0's profile from the first pull, never
+    // overwritten by the failed one, next to server 1's fresh one.
+    ServerProfile fresh0;
+    fx.a0->readProfile(fresh0, fx.goa->config().strategy);
+    ASSERT_FALSE(fresh0.power == stale0.power);
+    std::vector<ServerProfile> expected_inputs(2);
+    expected_inputs[0] = stale0;
+    fx.a1->readProfile(expected_inputs[1], fx.goa->config().strategy);
+    const auto expected =
+        BudgetAllocator(model(), fx.goa->config().budget)
+            .split(fx.rack.limitWatts(), expected_inputs);
+    ASSERT_EQ(fx.goa->lastBudgets().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_TRUE(fx.goa->lastBudgets()[i] == expected[i])
+            << "server " << i;
 }
 
 TEST(GoaFaults, DropsAndDelaysBudgetPushes)
