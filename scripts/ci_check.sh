@@ -78,6 +78,26 @@ for field in paper_racks_per_s paper_peak_rss_mb; do
         exit 1
     }
 done
+# Memory ceiling: per-server state that grows with the horizon
+# must not creep back unnoticed.  The run peaks at ~40 MB at 1 and
+# 4 threads; a second, full-horizon copy of each sOA's telemetry
+# took it to 110 MB.  Parsed fail-closed: an unreadable value fails
+# the stage.
+SIXWEEK_RSS_MB_MAX=64
+SIXWEEK_RSS_MB=$(sed -n 's/.*"paper_peak_rss_mb": \([0-9.]*\).*/\1/p' \
+    "$ROOT/build/BENCH_sixweek_smoke.json")
+if [ -z "$SIXWEEK_RSS_MB" ]; then
+    echo "FAIL: paper_peak_rss_mb unreadable in six-week smoke" \
+         "output" >&2
+    exit 1
+fi
+echo "six-week smoke peak RSS: $SIXWEEK_RSS_MB MB" \
+     "(ceiling: $SIXWEEK_RSS_MB_MAX)"
+awk "BEGIN { exit !($SIXWEEK_RSS_MB <= $SIXWEEK_RSS_MB_MAX) }" || {
+    echo "FAIL: six-week smoke peak RSS above" \
+         "$SIXWEEK_RSS_MB_MAX MB" >&2
+    exit 1
+}
 
 echo "==== ci_check: static analysis ===="
 STATIC_LOG="$(mktemp)"
