@@ -14,7 +14,9 @@
  *     builder it replaced scaled linearly (42x the history).  The
  *     gated ratio uses min-of-N (the distribution floor): means mix
  *     in scheduler noise that once pushed the ratio to ~0.96 of
- *     pure jitter.
+ *     pure jitter.  The two horizons run on separate harnesses,
+ *     timed in alternation, so host-speed drift during the run
+ *     cannot move the ratio.
  *  3. Hierarchical budget tier vs the flat zone split.
  *  4. Hint-ingestion throughput under the standard storm.
  *  5. Batch vs scalar normal generation: Rng::normalFill against
@@ -49,6 +51,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -202,39 +205,53 @@ struct RecomputeHarness {
                 soa->tick(now);
     }
 
-    struct Latency {
-        double meanUs = 0.0;
-        double minUs = 0.0;
-    };
-
-    /**
-     * Recompute latency over @p reps, each preceded by one fresh
-     * telemetry slot so every recompute does real incremental work
-     * (otherwise the aggregator caches make all but the first
-     * recompute trivial).  Reports the mean (context) and the min
-     * (the gated figure: the distribution floor is the cost of the
-     * work; everything above it is scheduler noise).
-     */
-    Latency measureRecompute(int reps)
+    /** One fresh telemetry slot, so the recompute does real
+     *  incremental work (otherwise the aggregator caches make all
+     *  but the first recompute trivial), then one timed recompute.
+     *  @return its wall time in seconds. */
+    double timedRecompute()
     {
-        goa.recompute(now); // warm scratch buffers, not timed
-        Latency lat;
-        double total_s = 0.0;
-        double min_s = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            advanceTo(now + sim::kSlot);
-            const auto start = Clock::now();
-            goa.recompute(now);
-            const double s = secondsSince(start);
-            total_s += s;
-            if (r == 0 || s < min_s)
-                min_s = s;
-        }
-        lat.meanUs = total_s / reps * 1e6;
-        lat.minUs = min_s * 1e6;
-        return lat;
+        advanceTo(now + sim::kSlot);
+        const auto start = Clock::now();
+        goa.recompute(now);
+        return secondsSince(start);
     }
 };
+
+struct Latency {
+    double meanUs = 0.0;
+    double minUs = 0.0;
+};
+
+/**
+ * Recompute latency of two harnesses at different telemetry
+ * horizons, measured interleaved: each of @p reps times one
+ * recompute on @p a, then one on @p b, so a change in host speed
+ * during the run lands on both horizons alike instead of moving
+ * their ratio.  Reports the mean (context) and the min (the gated
+ * figure: the distribution floor is the cost of the work;
+ * everything above it is scheduler noise).
+ */
+std::pair<Latency, Latency>
+measureInterleaved(RecomputeHarness &a, RecomputeHarness &b, int reps)
+{
+    a.goa.recompute(a.now); // warm scratch buffers, not timed
+    b.goa.recompute(b.now);
+    double total_a = 0.0;
+    double total_b = 0.0;
+    double min_a = 0.0;
+    double min_b = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        const double s_a = a.timedRecompute();
+        const double s_b = b.timedRecompute();
+        total_a += s_a;
+        total_b += s_b;
+        min_a = r == 0 ? s_a : std::min(min_a, s_a);
+        min_b = r == 0 ? s_b : std::min(min_b, s_b);
+    }
+    return {{total_a / reps * 1e6, min_a * 1e6},
+            {total_b / reps * 1e6, min_b * 1e6}};
+}
 
 /** Synthetic per-server profiles for the hierarchy benchmark, with
  *  deterministic per-rack/server variation. */
@@ -460,13 +477,15 @@ main(int argc, char **argv)
         ? cfg.racks / result.simSeconds
         : 0.0;
 
-    // 2. Recompute latency vs telemetry horizon (min-of-N gated).
+    // 2. Recompute latency vs telemetry horizon (min-of-N gated),
+    //    one harness per horizon, measured interleaved.
     constexpr int kRecomputeReps = 64;
-    RecomputeHarness harness;
-    harness.advanceTo(sim::kDay);
-    const auto lat_1d = harness.measureRecompute(kRecomputeReps);
-    harness.advanceTo(6 * sim::kWeek);
-    const auto lat_6w = harness.measureRecompute(kRecomputeReps);
+    RecomputeHarness harness_1d;
+    RecomputeHarness harness_6w;
+    harness_1d.advanceTo(sim::kDay);
+    harness_6w.advanceTo(6 * sim::kWeek);
+    const auto [lat_1d, lat_6w] =
+        measureInterleaved(harness_1d, harness_6w, kRecomputeReps);
     const double ratio =
         lat_1d.minUs > 0.0 ? lat_6w.minUs / lat_1d.minUs : 0.0;
 
@@ -476,7 +495,7 @@ main(int argc, char **argv)
     //    O((rows + racks) x slots) and, in steady state (one rack's
     //    telemetry changed), re-aggregates only that rack.
     std::vector<core::ServerProfile> zone_profiles;
-    core::BudgetHierarchy hierarchy(harness.model, {});
+    core::BudgetHierarchy hierarchy(harness_1d.model, {});
     for (int r = 0; r < cfg.racks; ++r) {
         auto rack_profiles = syntheticRack(r, cfg.serversPerRack);
         for (const auto &p : rack_profiles)
@@ -487,7 +506,7 @@ main(int argc, char **argv)
                                   450.0};
     constexpr int kHierReps = 16;
 
-    core::BudgetAllocator flat_alloc(harness.model);
+    core::BudgetAllocator flat_alloc(harness_1d.model);
     core::BudgetAllocator::SplitScratch flat_scratch;
     std::vector<core::ProfileTemplate> flat_out;
     auto start = Clock::now();
