@@ -154,12 +154,10 @@ BENCHMARK(BM_TemplateBuildBatch)->Arg(1)->Arg(7)->Arg(42);
  * Incremental steady state: one closed slot arrives, then the
  * template is rebuilt from the aggregator.  Arg = retained history
  * in days (the aggregator's window, so the working set stays pinned
- * while the benchmark streams new slots).  Up to kIndexThreshold
- * retained slots (3 weeks) the rebuild is one sort-free pass over
- * the ring, so its cost grows with the window: Arg 2 is what the
- * benchmark's zone_fleet retains, Arg 7 the paper's prior week.
- * Arg 42 runs the indexed mode, whose rebuild is O(slots-per-day)
- * whatever the window.
+ * while the benchmark streams new slots).  The rebuild is one
+ * sort-free pass over the retained ring, so its cost grows with the
+ * window: Arg 2 is what the benchmark's zone_fleet retains, Arg 7
+ * the paper's prior week.
  */
 void
 BM_TemplateBuildIncremental(benchmark::State &state)
@@ -182,11 +180,7 @@ BM_TemplateBuildIncremental(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TemplateBuildIncremental)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(7)
-    ->Arg(42);
+BENCHMARK(BM_TemplateBuildIncremental)->Arg(1)->Arg(2)->Arg(7);
 
 core::ServerProfile
 syntheticProfile(int seed)

@@ -7,16 +7,20 @@
  *
  *  1. End-to-end wall time of a multi-rack trace-simulator run
  *     (racks/sec of simulated fleet).
- *  2. gOA recompute latency after 1 day vs after 6 weeks of
- *     telemetry.  With the incremental slot aggregators the cost is
- *     O(slots-per-week) regardless of history length, so the 6-week
- *     figure must stay within ~2x of the 1-day figure; the batch
- *     builder it replaced scaled linearly (42x the history).  The
- *     gated ratio uses min-of-N (the distribution floor): means mix
- *     in scheduler noise that once pushed the ratio to ~0.96 of
- *     pure jitter.  The two horizons run on separate harnesses,
- *     timed in alternation, so host-speed drift during the run
- *     cannot move the ratio.
+ *  2. gOA recompute latency after 1 week vs after 6 weeks of
+ *     telemetry.  The sOAs' slot aggregators retain the prior week,
+ *     so the cost is O(slots-per-week) regardless of history
+ *     length, and the 6-week figure must stay within ~2x of the
+ *     1-week figure; the batch builder they replaced scaled
+ *     linearly (6x the history), and so would a window grown to
+ *     the horizon.  The reference is 1 week, not 1 day: a 1-day
+ *     harness retains 288 of the window's 2,016 slots, so 6w/1d
+ *     would measure window fill, not horizon growth.  The gated
+ *     ratio uses min-of-N (the distribution floor): means mix in
+ *     scheduler noise that once pushed the ratio to ~0.96 of pure
+ *     jitter.  The two horizons run on separate harnesses, timed in
+ *     alternation, so host-speed drift during the run cannot move
+ *     the ratio.
  *  3. Hierarchical budget tier vs the flat zone split.
  *  4. Hint-ingestion throughput under the standard storm.
  *  5. Batch vs scalar normal generation: Rng::normalFill against
@@ -359,7 +363,6 @@ runPaperScale(const Args &args)
     }
     cfg.controlStep = 300 * sim::kSecond;
     cfg.requestChunk = sim::kHour;
-    cfg.templateWindow = sim::kWeek;
     cfg.streamWindow = sim::kDay;
     cfg.budgetPath = cluster::BudgetPath::HierarchyZone;
     cfg.racksPerRow = 8;
@@ -480,14 +483,14 @@ main(int argc, char **argv)
     // 2. Recompute latency vs telemetry horizon (min-of-N gated),
     //    one harness per horizon, measured interleaved.
     constexpr int kRecomputeReps = 64;
-    RecomputeHarness harness_1d;
+    RecomputeHarness harness_1w;
     RecomputeHarness harness_6w;
-    harness_1d.advanceTo(sim::kDay);
+    harness_1w.advanceTo(sim::kWeek);
     harness_6w.advanceTo(6 * sim::kWeek);
-    const auto [lat_1d, lat_6w] =
-        measureInterleaved(harness_1d, harness_6w, kRecomputeReps);
+    const auto [lat_1w, lat_6w] =
+        measureInterleaved(harness_1w, harness_6w, kRecomputeReps);
     const double ratio =
-        lat_1d.minUs > 0.0 ? lat_6w.minUs / lat_1d.minUs : 0.0;
+        lat_1w.minUs > 0.0 ? lat_6w.minUs / lat_1w.minUs : 0.0;
 
     // 3. Hierarchical budget tier at the same fleet scale.  The
     //    flat split prices the zone at O(servers x slots) every
@@ -495,7 +498,7 @@ main(int argc, char **argv)
     //    O((rows + racks) x slots) and, in steady state (one rack's
     //    telemetry changed), re-aggregates only that rack.
     std::vector<core::ServerProfile> zone_profiles;
-    core::BudgetHierarchy hierarchy(harness_1d.model, {});
+    core::BudgetHierarchy hierarchy(harness_1w.model, {});
     for (int r = 0; r < cfg.racks; ++r) {
         auto rack_profiles = syntheticRack(r, cfg.serversPerRack);
         for (const auto &p : rack_profiles)
@@ -506,7 +509,7 @@ main(int argc, char **argv)
                                   450.0};
     constexpr int kHierReps = 16;
 
-    core::BudgetAllocator flat_alloc(harness_1d.model);
+    core::BudgetAllocator flat_alloc(harness_1w.model);
     core::BudgetAllocator::SplitScratch flat_scratch;
     std::vector<core::ProfileTemplate> flat_out;
     auto start = Clock::now();
@@ -563,11 +566,11 @@ main(int argc, char **argv)
                  "  \"goa_recompute\": {\n"
                  "    \"servers\": %d,\n"
                  "    \"iterations\": %d,\n"
-                 "    \"recompute_us_1d\": %.2f,\n"
-                 "    \"recompute_us_1d_min\": %.2f,\n"
+                 "    \"recompute_us_1w\": %.2f,\n"
+                 "    \"recompute_us_1w_min\": %.2f,\n"
                  "    \"recompute_us_6w\": %.2f,\n"
                  "    \"recompute_us_6w_min\": %.2f,\n"
-                 "    \"ratio_6w_over_1d\": %.3f\n"
+                 "    \"ratio_6w_over_1w\": %.3f\n"
                  "  },\n"
                  "  \"budget_hierarchy\": {\n"
                  "    \"racks\": %d,\n"
@@ -591,7 +594,7 @@ main(int argc, char **argv)
                  result.genSeconds, result.simSeconds, racks_per_s,
                  static_cast<unsigned long long>(result.requests),
                  RecomputeHarness::kServers, kRecomputeReps,
-                 lat_1d.meanUs, lat_1d.minUs, lat_6w.meanUs,
+                 lat_1w.meanUs, lat_1w.minUs, lat_6w.meanUs,
                  lat_6w.minUs, ratio, cfg.racks,
                  static_cast<int>(hierarchy.rows()), flat_us,
                  hier_us,
@@ -608,14 +611,14 @@ main(int argc, char **argv)
     std::fclose(out);
     std::printf("wall_s=%.3f gen_s=%.3f sim_s=%.3f "
                 "racks_per_s=%.3f "
-                "recompute_us_1d_min=%.2f recompute_us_6w_min=%.2f "
+                "recompute_us_1w_min=%.2f recompute_us_6w_min=%.2f "
                 "ratio=%.3f flat_zone_split_us=%.2f "
                 "hier_incremental_us=%.2f hints_per_s=%.0f "
                 "gen_batch_speedup=%.3f "
                 "paper_racks_per_s=%.1f paper_peak_rss_mb=%.1f "
                 "-> %s\n",
                 wall_s, result.genSeconds, result.simSeconds,
-                racks_per_s, lat_1d.minUs, lat_6w.minUs, ratio,
+                racks_per_s, lat_1w.minUs, lat_6w.minUs, ratio,
                 flat_us, hier_us, ingress_bench.hintsPerS,
                 gen_batch.speedup, paper.racksPerS, paper.peakRssMb,
                 args.outPath);

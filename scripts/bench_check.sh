@@ -1,15 +1,17 @@
 #!/bin/sh
 # Performance check: build the bench targets and refresh
 # BENCH_trace_sim.json at the repo root (simulator replay throughput,
-# gOA recompute latency at 1-day vs 6-week telemetry horizons, the
+# gOA recompute latency at 1-week vs 6-week telemetry horizons, the
 # hierarchical budget tier, hint-ingestion throughput under the
 # standard adversarial storm, and the 7,104-rack paper-scale
 # streaming replay).  Gates:
 #  - replay throughput must stay at or above RACKS_PER_S_MIN
 #    (struct-of-arrays replay baseline, with margin for CI noise);
-#  - the 6-week recompute must stay within 2x of the 1-day one —
+#  - the 6-week recompute must stay within 2x of the 1-week one —
 #    the incremental-aggregation guarantee this repo relies on
-#    (min-of-N figures: the mean mixes in scheduler noise);
+#    (min-of-N figures: the mean mixes in scheduler noise).  Both
+#    horizons fill the one-week template window, so the ratio sees
+#    horizon growth, not window fill;
 #  - the incremental hierarchy recompute must undercut the flat
 #    zone split by at least 2x — the reason the tier exists;
 #  - storm ingestion must sustain HINTS_PER_S_MIN through the
@@ -64,8 +66,8 @@ awk "BEGIN { exit !($RACKS_PER_S >= $RACKS_PER_S_MIN) }" || {
     exit 1
 }
 
-RATIO=$(extract ratio_6w_over_1d)
-echo "recompute 6w/1d ratio: $RATIO (bound: 2.0)"
+RATIO=$(extract ratio_6w_over_1w)
+echo "recompute 6w/1w ratio: $RATIO (bound: 2.0)"
 awk "BEGIN { exit !($RATIO <= 2.0) }" || {
     echo "FAIL: recompute cost grows with telemetry horizon" >&2
     exit 1

@@ -63,10 +63,9 @@ ServiceSimConfig::validate() const
         fail("pollPeriod must be > 0");
     if (goaPeriod <= 0)
         fail("goaPeriod must be > 0");
-    if (templateWindow < 0 ||
-        (templateWindow > 0 && templateWindow % sim::kSlot != 0)) {
-        fail("templateWindow must be 0 or a positive multiple of "
-             "the telemetry slot");
+    if (templateWindow <= 0 || templateWindow % sim::kSlot != 0) {
+        fail("templateWindow must be a positive multiple of the "
+             "telemetry slot");
     }
     if (!(rackLimitFactor > 0.0)) {
         fail("rackLimitFactor must be > 0 (got " +

@@ -67,11 +67,11 @@ struct ServiceSimConfig {
     sim::Tick pollPeriod = 15 * sim::kSecond;
     sim::Tick goaPeriod = 5 * sim::kMinute;
     /**
-     * Telemetry window the sOAs' template aggregators retain; 0
-     * (default) keeps all history — the seed behavior.  Must be a
-     * positive multiple of the 5-minute slot when set.
+     * Telemetry window the sOAs' template aggregators retain: a
+     * positive multiple of the 5-minute slot.  The default is the
+     * paper's prior week.
      */
-    sim::Tick templateWindow = 0;
+    sim::Tick templateWindow = sim::kWeek;
 
     /** Offered load as a fraction of one instance's turbo capacity,
      *  per load class. */

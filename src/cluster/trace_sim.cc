@@ -65,10 +65,9 @@ TraceSimConfig::validate() const
         fail("controlStep must be > 0");
     if (recomputePeriod <= 0)
         fail("recomputePeriod must be > 0");
-    if (templateWindow < 0 ||
-        (templateWindow > 0 && templateWindow % sim::kSlot != 0)) {
-        fail("templateWindow must be 0 or a positive multiple of "
-             "the telemetry slot");
+    if (templateWindow <= 0 || templateWindow % sim::kSlot != 0) {
+        fail("templateWindow must be a positive multiple of the "
+             "telemetry slot");
     }
     if (streamWindow < 0 ||
         (streamWindow > 0 && streamWindow % sim::kSlot != 0)) {

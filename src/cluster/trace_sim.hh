@@ -86,12 +86,11 @@ struct TraceSimConfig {
      *  chaos studies shorten it so outages hit mid-evaluation). */
     sim::Tick recomputePeriod = sim::kWeek;
     /**
-     * Telemetry window the sOAs' template aggregators retain, as a
-     * multiple of the 5-minute slot.  0 (default) keeps all history
-     * — the seed behavior; the paper's agents predict from the
-     * prior week (sim::kWeek).
+     * Telemetry window the sOAs' template aggregators retain: a
+     * positive multiple of the 5-minute slot.  The default is the
+     * prior week the paper's agents predict from.
      */
-    sim::Tick templateWindow = 0;
+    sim::Tick templateWindow = sim::kWeek;
     /**
      * Fault injection (chaos harness).  Disabled by default; when
      * enabled, each rack draws a deterministic FaultPlan from the

@@ -1,7 +1,6 @@
 #include "core/slot_aggregator.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <deque>
 #include <stdexcept>
@@ -17,21 +16,6 @@ namespace core
 
 namespace
 {
-
-/**
- * Mirrors sim::median() over an already sorted range: the mid
- * element for odd sizes, the same 0.5 * (lower + upper) expression
- * for even sizes.
- */
-double
-sortedMedian(const std::vector<double> &sorted)
-{
-    assert(!sorted.empty());
-    const std::size_t mid = sorted.size() / 2;
-    if (sorted.size() % 2 == 1)
-        return sorted[mid];
-    return 0.5 * (sorted[mid - 1] + sorted[mid]);
-}
 
 /** Median of @p values as sim::median computes it, selected in a
  *  thread-local copy. */
@@ -51,51 +35,15 @@ constexpr auto kWeekSlots =
 
 } // namespace
 
-void
-SlotAggregator::SortedBag::erase(double v)
-{
-    // Evictions leave in arrival order, so the victim is as likely
-    // to sit in the unsorted tail as in the body; try the cheap
-    // unordered removal first.
-    const auto pit = std::find(pending.begin(), pending.end(), v);
-    if (pit != pending.end()) {
-        pending.erase(pit);
-        return;
-    }
-    const auto it = std::lower_bound(values.begin(), values.end(), v);
-    assert(it != values.end() && *it == v);
-    values.erase(it);
-}
-
-void
-SlotAggregator::SortedBag::flushPending() const
-{
-    std::sort(pending.begin(), pending.end());
-    const std::size_t mid = values.size();
-    values.insert(values.end(), pending.begin(), pending.end());
-    std::inplace_merge(
-        values.begin(),
-        values.begin() + static_cast<std::ptrdiff_t>(mid),
-        values.end());
-    pending.clear();
-}
-
-double
-SlotAggregator::SortedBag::median() const
-{
-    flush();
-    return sortedMedian(values);
-}
-
 SlotAggregator::SlotAggregator(sim::Tick window)
     : window_(window)
 {
     // Checked in every build: an SoaConfig built directly never
     // passes through the simulators' validate().
-    if (window_ < 0 || window_ % sim::kSlot != 0) {
+    if (window_ <= 0 || window_ % sim::kSlot != 0) {
         throw std::invalid_argument(
             "SlotAggregator: window " + std::to_string(window_) +
-            " is negative or not a multiple of the slot width");
+            " is not a positive multiple of the slot width");
     }
 }
 
@@ -128,16 +76,14 @@ SlotAggregator::add(sim::Tick t, double value)
     if (ring_.empty())
         firstTick_ = t;
     ring_.push_back(value);
-    if (indexed_)
-        indexSample(t, value);
-    else if (ring_.size() > kIndexThreshold)
-        buildIndex();
     ++version_;
     // Consecutive ticks: the window holds exactly window_ / kSlot
     // slots, so at most the one oldest sample falls out per add.
-    if (window_ > 0 &&
-        static_cast<sim::Tick>(ring_.size()) * sim::kSlot > window_)
-        evictOldest();
+    if (static_cast<sim::Tick>(ring_.size()) * sim::kSlot > window_) {
+        ring_.pop_front();
+        firstTick_ += sim::kSlot;
+        ++version_;
+    }
 }
 
 double
@@ -149,68 +95,6 @@ SlotAggregator::latest() const
 }
 
 void
-SlotAggregator::indexSample(sim::Tick t, double value)
-{
-    all_.insert(value);
-    auto &bucket = sim::isWeekend(t) ? weekend_[sim::slotOfDay(t)]
-                                     : weekday_[sim::slotOfDay(t)];
-    bucket.insert(value);
-    const int slot_of_week =
-        static_cast<int>((t % sim::kWeek) / sim::kSlot);
-    weeklyLatest_[slot_of_week] = value;
-    weeklyTick_[slot_of_week] = t;
-}
-
-void
-SlotAggregator::buildIndex()
-{
-    indexed_ = true;
-    all_.values.clear();
-    all_.pending.clear();
-    weekday_.assign(static_cast<std::size_t>(sim::kSlotsPerDay),
-                    SortedBag{});
-    weekend_.assign(static_cast<std::size_t>(sim::kSlotsPerDay),
-                    SortedBag{});
-    weeklyLatest_.assign(
-        static_cast<std::size_t>(sim::kSlotsPerWeek), 0.0);
-    weeklyTick_.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
-                       sim::Tick{-1});
-    // Replaying the ring in tick order leaves the indexed
-    // structures exactly as if they had been maintained from the
-    // retained samples all along: bag contents are multisets (the
-    // sorted-body/pending split is representation only), and
-    // latest-wins per slot-of-week matches the arrival order.
-    sim::Tick t = firstTick_;
-    for (double value : ring_) {
-        indexSample(t, value);
-        t += sim::kSlot;
-    }
-}
-
-void
-SlotAggregator::evictOldest()
-{
-    const sim::Tick t = firstTick_;
-    const double value = ring_.front();
-    ring_.pop_front();
-    firstTick_ += sim::kSlot;
-    if (indexed_) {
-        all_.erase(value);
-        auto &bucket = sim::isWeekend(t)
-            ? weekend_[sim::slotOfDay(t)]
-            : weekday_[sim::slotOfDay(t)];
-        bucket.erase(value);
-        const int slot_of_week =
-            static_cast<int>((t % sim::kWeek) / sim::kSlot);
-        // Samples leave in tick order, so when the latest value of a
-        // slot-of-week is evicted no older one can remain.
-        if (weeklyTick_[slot_of_week] == t)
-            weeklyTick_[slot_of_week] = -1;
-    }
-    ++version_;
-}
-
-void
 SlotAggregator::clear()
 {
     // Release everything outright (crash-restart forgets the shape
@@ -218,13 +102,6 @@ SlotAggregator::clear()
     ring_.clear();
     ring_.shrink_to_fit();
     firstTick_ = 0;
-    indexed_ = false;
-    all_.values = {};
-    all_.pending = {};
-    weekday_ = {};
-    weekend_ = {};
-    weeklyLatest_ = {};
-    weeklyTick_ = {};
     ++version_;
 }
 
@@ -261,16 +138,7 @@ SlotAggregator::assemble(TemplateStrategy strategy,
         out.weekly_.clear();
     if (empty())
         return;
-    if (indexed_)
-        assembleFromIndex(strategy, out);
-    else
-        assembleFromRing(strategy, out);
-}
 
-void
-SlotAggregator::assembleFromRing(TemplateStrategy strategy,
-                                 ProfileTemplate &out) const
-{
     // Field-for-field mirror of ProfileTemplate::build over the
     // retained samples; the equivalence tests hold the two
     // bit-identical for every strategy.  Every median goes through
@@ -367,52 +235,6 @@ SlotAggregator::assembleFromRing(TemplateStrategy strategy,
             out.weekday_[s] = aggregate(s, fallback);
             out.weekend_[s] =
                 aggregate(kDaySlots + s, out.weekday_[s]);
-        }
-        return;
-      }
-    }
-}
-
-void
-SlotAggregator::assembleFromIndex(TemplateStrategy strategy,
-                                  ProfileTemplate &out) const
-{
-    // Same mirror of ProfileTemplate::build, read from the
-    // incrementally maintained bags: every bag read flushes first,
-    // so medians/maxes come off the same sorted multisets the
-    // batch builder selects from.
-    switch (strategy) {
-      case TemplateStrategy::FlatMed:
-        out.flatValue_ = all_.median();
-        return;
-      case TemplateStrategy::FlatMax:
-        out.flatValue_ = all_.max();
-        return;
-      case TemplateStrategy::Weekly: {
-        out.weekly_.resize(sim::kSlotsPerWeek);
-        const double fallback = all_.median();
-        for (int s = 0; s < sim::kSlotsPerWeek; ++s) {
-            out.weekly_[s] =
-                weeklyTick_[s] >= 0 ? weeklyLatest_[s] : fallback;
-        }
-        return;
-      }
-      case TemplateStrategy::DailyMed:
-      case TemplateStrategy::DailyMax: {
-        const bool use_max = strategy == TemplateStrategy::DailyMax;
-        auto aggregate = [use_max](const SortedBag &bucket,
-                                   double fallback) {
-            if (bucket.empty())
-                return fallback;
-            return use_max ? bucket.max() : bucket.median();
-        };
-        const double fallback = all_.median();
-        out.weekday_.resize(sim::kSlotsPerDay);
-        out.weekend_.resize(sim::kSlotsPerDay);
-        for (int s = 0; s < sim::kSlotsPerDay; ++s) {
-            out.weekday_[s] = aggregate(weekday_[s], fallback);
-            out.weekend_[s] =
-                aggregate(weekend_[s], out.weekday_[s]);
         }
         return;
       }

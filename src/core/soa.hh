@@ -109,13 +109,12 @@ struct SoaConfig {
 
     /**
      * Telemetry horizon the power/utilization templates aggregate
-     * over.  0 (default) keeps the full history — bit-identical to
-     * the original batch builder.  The paper-faithful setting is
-     * sim::kWeek: templates from the prior week only, with older
-     * samples evicted from the slot aggregators.  Must be a
-     * multiple of sim::kSlot when non-zero.
+     * over.  The default is the paper's prior week: older samples
+     * are evicted from the slot aggregators.  Must be a positive
+     * multiple of sim::kSlot; the aggregators reject anything else,
+     * 0 included.
      */
-    sim::Tick templateWindow = 0;
+    sim::Tick templateWindow = sim::kWeek;
 
     /** Build the config for one of the Table I policy variants. */
     static SoaConfig forPolicy(PolicyKind kind);

@@ -270,6 +270,7 @@ TEST(ChaosValidation, ServiceSimConfigRejectsNonsense)
         [](ServiceSimConfig &c) { c.templateWindow = -sim::kWeek; });
     expect_throws(
         [](ServiceSimConfig &c) { c.templateWindow = sim::kSlot + 1; });
+    expect_throws([](ServiceSimConfig &c) { c.templateWindow = 0; });
     EXPECT_NO_THROW(ServiceSimConfig{}.validate());
 
     ServiceSimConfig bad;

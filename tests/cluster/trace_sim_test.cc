@@ -180,6 +180,9 @@ TEST(TraceSim, RejectsMisalignedTemplateWindow)
     EXPECT_THROW(runTraceSim(cfg), std::invalid_argument);
     cfg.templateWindow = -sim::kWeek;
     EXPECT_THROW(runTraceSim(cfg), std::invalid_argument);
+    // 0 would evict every sample, the gap-fill source included.
+    cfg.templateWindow = 0;
+    EXPECT_THROW(runTraceSim(cfg), std::invalid_argument);
     cfg.templateWindow = sim::kWeek;
     EXPECT_NO_THROW(cfg.validate());
 }

@@ -52,7 +52,7 @@ randomHistory(std::uint64_t seed, sim::Tick start, int slots)
 
 /** Feed @p history into a fresh aggregator sample by sample. */
 SlotAggregator
-aggregate(const TimeSeries &history, sim::Tick window = 0)
+aggregate(const TimeSeries &history, sim::Tick window = kWeek)
 {
     SlotAggregator agg(window);
     for (std::size_t i = 0; i < history.size(); ++i)
@@ -77,7 +77,7 @@ expectMatchesBatch(const SlotAggregator &agg,
 
 TEST(SlotAggregator, EmptyMatchesBatch)
 {
-    const SlotAggregator agg;
+    const SlotAggregator agg(kWeek);
     EXPECT_TRUE(agg.empty());
     expectMatchesBatch(agg, TimeSeries(0, kSlot));
 }
@@ -120,7 +120,8 @@ TEST(SlotAggregator, RandomHistoriesBitIdenticalAtEveryPrefix)
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         const auto history =
             randomHistory(seed, 0, 2 * sim::kSlotsPerWeek + 3);
-        SlotAggregator agg;
+        // A window longer than the history: nothing is evicted.
+        SlotAggregator agg(3 * kWeek);
         TimeSeries prefix(0, kSlot);
         for (std::size_t i = 0; i < history.size(); ++i) {
             agg.add(history.timeOf(i), history.at(i));
@@ -130,51 +131,6 @@ TEST(SlotAggregator, RandomHistoriesBitIdenticalAtEveryPrefix)
             // still crossing day and week boundaries mid-stream.
             if (i % 97 == 0 || i + 1 == history.size())
                 expectMatchesBatch(agg, prefix);
-        }
-    }
-}
-
-TEST(SlotAggregator, IndexModeSwitchBitIdenticalAcrossThreshold)
-{
-    // Long unbounded histories flip the aggregator from the ring
-    // representation to incremental index maintenance at
-    // kIndexThreshold retained samples.  The switch must be
-    // invisible: bit-identical templates right before, at, and well
-    // after the crossing.
-    const auto threshold =
-        static_cast<int>(SlotAggregator::kIndexThreshold);
-    const auto history = randomHistory(41, 0, threshold + 640);
-    SlotAggregator agg;
-    TimeSeries prefix(0, kSlot);
-    for (std::size_t i = 0; i < history.size(); ++i) {
-        agg.add(history.timeOf(i), history.at(i));
-        prefix.append(history.at(i));
-        const auto n = static_cast<int>(i) + 1;
-        if (n == threshold - 1 || n == threshold ||
-            n == threshold + 1 || n == threshold + 389 ||
-            i + 1 == history.size())
-            expectMatchesBatch(agg, prefix);
-    }
-}
-
-TEST(SlotAggregator, IndexedWindowEvictionMatchesSlicedBatch)
-{
-    // A window wider than kIndexThreshold slots forces indexed-mode
-    // *eviction* (bag erase + weekly-latest invalidation), which the
-    // ring-mode eviction tests never reach.
-    const sim::Tick window = 4 * kWeek;
-    const auto history =
-        randomHistory(43, 0, 4 * sim::kSlotsPerWeek + 500);
-    SlotAggregator agg(window);
-    TimeSeries prefix(0, kSlot);
-    for (std::size_t i = 0; i < history.size(); ++i) {
-        agg.add(history.timeOf(i), history.at(i));
-        prefix.append(history.at(i));
-        if (i % 509 == 0 || i + 1 == history.size()) {
-            const auto windowed =
-                prefix.slice(prefix.end() - window, prefix.end());
-            expectMatchesBatch(agg, windowed);
-            EXPECT_EQ(agg.sampleCount(), windowed.size());
         }
     }
 }
@@ -247,9 +203,9 @@ TEST(SlotAggregator, ClearResetsToEmpty)
 
 TEST(SlotAggregator, RejectsNonFiniteSamplesAtIngestion)
 {
-    // A NaN admitted into a SortedBag breaks the upper_bound /
-    // lower_bound ordering invariant and silently corrupts medians;
-    // the aggregator must refuse it up front and stay untouched.
+    // A NaN breaks the ordering comparisons every median and max
+    // relies on and silently corrupts them; the aggregator must
+    // refuse it up front and stay untouched.
     const auto history = randomHistory(77, 0, 64);
     auto agg = aggregate(history);
     const std::uint64_t version = agg.version();
@@ -279,8 +235,8 @@ TEST(SlotAggregator, RejectsNonFiniteSamplesAtIngestion)
 
 TEST(SlotAggregator, RingAssemblyMatchesSlicedBatchAcrossWindows)
 {
-    // Ring mode at every window shape it serves, from starts on
-    // either side of the weekend.  Between them these reach each
+    // Assembly at every window shape, from starts on either side
+    // of the weekend.  Between them these reach each
     // case where assembly reads the window median: an empty
     // weekday bucket (sub-day windows, weekend-only windows after
     // the Saturday start), an unfilled Weekly slot (any window
@@ -322,18 +278,20 @@ TEST(SlotAggregator, RejectsInvalidWindows)
 {
     // Checked in every build type, not by assert: an SoaConfig
     // built directly never passes through a simulator's validate().
-    for (sim::Tick window : {-kSlot, sim::Tick{-1}, kSlot + 1,
-                             kSlot / 2, kDay - 1}) {
+    // A 0 window would evict every sample, the one latest() returns
+    // for gap-fill included.
+    for (sim::Tick window : {sim::Tick{0}, -kSlot, sim::Tick{-1},
+                             kSlot + 1, kSlot / 2, kDay - 1}) {
         EXPECT_THROW(SlotAggregator{window}, std::invalid_argument)
             << "window " << window;
     }
-    for (sim::Tick window : {sim::Tick{0}, kSlot, kWeek})
+    for (sim::Tick window : {kSlot, kWeek})
         EXPECT_NO_THROW(SlotAggregator{window});
 }
 
 TEST(SlotAggregator, RejectsOutOfSequenceTicksLeavingStateUnchanged)
 {
-    SlotAggregator fresh;
+    SlotAggregator fresh(kWeek);
     // The first tick may be any non-negative slot start.
     for (sim::Tick t : {-kSlot, sim::Tick{-1}, kSlot + 1, kDay - 7})
         EXPECT_THROW(fresh.add(t, 1.0), std::invalid_argument)
@@ -377,22 +335,21 @@ TEST(SlotAggregator, RejectsOutOfSequenceTicksLeavingStateUnchanged)
 TEST(SlotAggregator, LatestIsTheNewestSampleInEveryMode)
 {
     // The sOA's gap-fill repeats latest(), so it must track the
-    // newest sample through window evictions and across the switch
-    // to indexed mode.
-    const auto history = randomHistory(
-        91, 2 * kDay,
-        static_cast<int>(SlotAggregator::kIndexThreshold) + 50);
-    SlotAggregator unbounded;
-    SlotAggregator windowed(kDay);
-    EXPECT_THROW((void)unbounded.latest(), std::logic_error);
-    for (std::size_t i = 0; i < history.size(); ++i) {
-        unbounded.add(history.timeOf(i), history.at(i));
-        windowed.add(history.timeOf(i), history.at(i));
-        ASSERT_EQ(unbounded.latest(), history.at(i)) << "sample " << i;
-        ASSERT_EQ(windowed.latest(), history.at(i)) << "sample " << i;
+    // newest sample through window evictions, down to a one-slot
+    // window that evicts on every add after the first.
+    const auto history =
+        randomHistory(91, 2 * kDay, sim::kSlotsPerWeek + 50);
+    for (sim::Tick window : {kSlot, kDay, kWeek}) {
+        SlotAggregator agg(window);
+        EXPECT_THROW((void)agg.latest(), std::logic_error);
+        for (std::size_t i = 0; i < history.size(); ++i) {
+            agg.add(history.timeOf(i), history.at(i));
+            ASSERT_EQ(agg.latest(), history.at(i))
+                << "window " << window << " sample " << i;
+        }
+        agg.clear();
+        EXPECT_THROW((void)agg.latest(), std::logic_error);
     }
-    windowed.clear();
-    EXPECT_THROW((void)windowed.latest(), std::logic_error);
 }
 
 TEST(ProfileTemplateEquality, DetectsEveryFieldDifference)
