@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace soc
 {
@@ -68,8 +70,15 @@ BudgetAllocator::splitWeeklyInto(
     SplitScratch &scratch,
     std::vector<ProfileTemplate> &out) const
 {
-    assert(usablePerSlot.size() ==
-           static_cast<std::size_t>(sim::kSlotsPerWeek));
+    // Checked in every build: splitImpl reads a full week of slots
+    // from the row.
+    if (usablePerSlot.size() !=
+        static_cast<std::size_t>(sim::kSlotsPerWeek)) {
+        throw std::invalid_argument(
+            "BudgetAllocator: usable row has " +
+            std::to_string(usablePerSlot.size()) + " slots, expected " +
+            std::to_string(sim::kSlotsPerWeek));
+    }
     splitImpl(usablePerSlot.data(), 0.0, profiles, scratch, out);
 }
 

@@ -121,7 +121,8 @@ class BudgetAllocator
      * margin once at the top level can pass intermediate budgets
      * down unchanged (see core/budget_hierarchy.hh).  With a
      * constant row equal to limit * (1 - safetyFraction) this is
-     * bit-identical to splitInto.
+     * bit-identical to splitInto.  A row of any other length throws
+     * std::invalid_argument before @p scratch or @p out is touched.
      */
     void splitWeeklyInto(const std::vector<double> &usablePerSlot,
                          const std::vector<ServerProfile> &profiles,

@@ -1,6 +1,5 @@
 #include "core/goa.hh"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -144,10 +143,14 @@ GlobalOverclockingAgent::recomputeWithBudget(
 {
     if (agents_.empty())
         throw std::logic_error("gOA: recompute with no sOAs");
-    assert(lastProfiles_.size() == agents_.size() &&
-           "gOA: recomputeWithBudget before pullProfiles");
-    assert(usablePerSlot.size() ==
-           static_cast<std::size_t>(sim::kSlotsPerWeek));
+    // Checked in every build: a split over fewer profiles than sOAs
+    // (none pulled yet, or released) would push budgets past the
+    // end of lastBudgets_.  splitWeeklyInto checks the row.
+    if (lastProfiles_.size() != agents_.size()) {
+        throw std::logic_error(
+            "gOA: recomputeWithBudget without one pulled profile "
+            "per sOA");
+    }
 
     allocator_.splitWeeklyInto(usablePerSlot, lastProfiles_,
                                splitScratch_, lastBudgets_);

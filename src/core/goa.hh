@@ -189,7 +189,12 @@ class GlobalOverclockingAgent
      * slot of the week, consumed as-is — the hierarchy applies the
      * safety margin once at the zone) across the profiles pulled by
      * pullProfiles(), and push the budgets to the sOAs exactly like
-     * recompute(now) does.  Counts as one recompute.
+     * recompute(now) does.  Counts as one recompute.  Throws
+     * std::logic_error when the gOA does not hold one pulled
+     * profile per sOA (no pull yet, or releaseProfiles() since),
+     * and std::invalid_argument for a row that is not
+     * sim::kSlotsPerWeek long; either throw leaves every budget and
+     * counter unchanged.
      */
     void recomputeWithBudget(sim::Tick now,
                              const std::vector<double> &usablePerSlot);

@@ -40,6 +40,49 @@ struct Fixture {
     }
 };
 
+/** A usable-watts row of @p slots entries, under the rack limit. */
+std::vector<double>
+usableRow(std::size_t slots = sim::kSlotsPerWeek)
+{
+    return std::vector<double>(slots, 1400.0);
+}
+
+/** The budget state a rejected recompute must leave as it was. */
+struct BudgetState {
+    std::vector<ProfileTemplate> lastBudgets;
+    std::uint64_t recomputes = 0;
+    /** Every sOA's budget at each hour of the week. */
+    std::vector<double> soaWatts;
+};
+
+BudgetState
+budgetState(const Fixture &fx)
+{
+    BudgetState state{fx.goa.lastBudgets(), fx.goa.recomputeCount(),
+                      {}};
+    for (const auto &soa : fx.soas)
+        for (Tick t = 0; t < sim::kWeek; t += sim::kHour)
+            state.soaWatts.push_back(soa->budgetWatts(t).count());
+    return state;
+}
+
+void
+expectUnchanged(const BudgetState &before, const Fixture &fx)
+{
+    const BudgetState after = budgetState(fx);
+    EXPECT_TRUE(after.lastBudgets == before.lastBudgets);
+    EXPECT_EQ(after.recomputes, before.recomputes);
+    EXPECT_EQ(after.soaWatts, before.soaWatts);
+}
+
+void
+tickFor(Fixture &fx, Tick duration)
+{
+    for (Tick t = 0; t < duration; t += kMinute)
+        for (auto &soa : fx.soas)
+            soa->tick(t);
+}
+
 } // namespace
 
 TEST(Goa, EvenSplitAssignsEqualBudgets)
@@ -106,4 +149,54 @@ TEST(Goa, RecomputeRefreshesOwnTemplates)
             soa->tick(t);
     fx.goa.recompute(sim::kHour);
     EXPECT_NE(fx.soas[0]->budgetWatts(2 * sim::kHour), even);
+}
+
+TEST(Goa, RecomputeWithBudgetRejectsWrongLengthRow)
+{
+    // Checked in every build type: the split reads a full week of
+    // slots from the row, past the end of a short one.
+    Fixture fx;
+    fx.goa.assignEvenSplit();
+    tickFor(fx, sim::kHour);
+    fx.goa.pullProfiles();
+    const BudgetState before = budgetState(fx);
+    for (std::size_t slots :
+         {std::size_t{0}, std::size_t{sim::kSlotsPerWeek - 1},
+          std::size_t{sim::kSlotsPerWeek + 1}}) {
+        EXPECT_THROW(
+            fx.goa.recomputeWithBudget(sim::kHour, usableRow(slots)),
+            std::invalid_argument)
+            << slots << " slots";
+        expectUnchanged(before, fx);
+    }
+    // The pull survives the rejections: a full row goes through.
+    fx.goa.recomputeWithBudget(sim::kHour, usableRow());
+    EXPECT_EQ(fx.goa.recomputeCount(), before.recomputes + 1);
+}
+
+TEST(Goa, RecomputeWithBudgetBeforeAnyPullThrows)
+{
+    // No profile pulled: a split over zero profiles would leave
+    // lastBudgets() empty and push budgets read past its end.
+    Fixture fx;
+    fx.goa.assignEvenSplit();
+    tickFor(fx, sim::kHour);
+    const BudgetState before = budgetState(fx);
+    EXPECT_THROW(fx.goa.recomputeWithBudget(sim::kHour, usableRow()),
+                 std::logic_error);
+    expectUnchanged(before, fx);
+}
+
+TEST(Goa, RecomputeWithBudgetAfterReleaseThrows)
+{
+    Fixture fx;
+    fx.goa.assignEvenSplit();
+    tickFor(fx, sim::kHour);
+    fx.goa.pullProfiles();
+    fx.goa.recomputeWithBudget(sim::kHour, usableRow());
+    fx.goa.releaseProfiles();
+    const BudgetState before = budgetState(fx);
+    EXPECT_THROW(fx.goa.recomputeWithBudget(sim::kHour, usableRow()),
+                 std::logic_error);
+    expectUnchanged(before, fx);
 }
