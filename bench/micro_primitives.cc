@@ -214,25 +214,28 @@ BM_BudgetSplit(benchmark::State &state)
 }
 BENCHMARK(BM_BudgetSplit)->Arg(8)->Arg(28);
 
-/** Steady-state split: scratch and output buffers reused. */
+/** Steady-state split: usable row, scratch and output buffers
+ *  reused. */
 void
-BM_BudgetSplitInto(benchmark::State &state)
+BM_BudgetSplitWeeklyInto(benchmark::State &state)
 {
     const core::BudgetAllocator allocator(model());
     std::vector<core::ServerProfile> profiles;
     for (int i = 0; i < state.range(0); ++i)
         profiles.push_back(syntheticProfile(i));
+    const power::Watts limit{1000.0 * state.range(0)};
+    const std::vector<double> usable(
+        static_cast<std::size_t>(sim::kSlotsPerWeek),
+        (limit * (1.0 - core::BudgetConfig{}.safetyFraction)).count());
     core::BudgetAllocator::SplitScratch scratch;
     std::vector<core::ProfileTemplate> out;
     for (auto _ : state) {
-        allocator.splitInto(
-            power::Watts{1000.0 * state.range(0)}, profiles,
-                            scratch, out);
+        allocator.splitWeeklyInto(usable, profiles, scratch, out);
         benchmark::DoNotOptimize(out);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BudgetSplitInto)->Arg(8)->Arg(28);
+BENCHMARK(BM_BudgetSplitWeeklyInto)->Arg(8)->Arg(28);
 
 void
 BM_TemplatePredict(benchmark::State &state)

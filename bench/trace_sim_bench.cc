@@ -173,7 +173,8 @@ parseArgs(int argc, char **argv, Args &out)
 }
 
 /** One rack of idle-ish servers streaming telemetry into their
- *  sOAs, with the gOA recomputed on demand. */
+ *  sOAs, with the gOA recomputed on demand over the rack's own
+ *  limit. */
 struct RecomputeHarness {
     static constexpr int kServers = 8;
 
@@ -181,6 +182,8 @@ struct RecomputeHarness {
     power::Rack rack{0, power::Watts{4000.0}};
     std::vector<std::unique_ptr<core::ServerOverclockingAgent>> soas;
     core::GlobalOverclockingAgent goa;
+    /** Constant row of the rack's usable watts, built once. */
+    std::vector<double> usable;
     sim::Tick now = 0;
 
     RecomputeHarness() : goa(rack, model)
@@ -199,6 +202,15 @@ struct RecomputeHarness {
             goa.addAgent(soas.back().get());
         }
         goa.assignEvenSplit();
+        usable.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
+                      goa.usableWatts().count());
+    }
+
+    /** Pull + split: one recompute. */
+    void recomputeOwnRow()
+    {
+        goa.pullProfiles();
+        goa.recomputeWithBudget(now, usable);
     }
 
     /** Stream telemetry until @p until (exclusive of recomputes). */
@@ -217,7 +229,7 @@ struct RecomputeHarness {
     {
         advanceTo(now + sim::kSlot);
         const auto start = Clock::now();
-        goa.recompute(now);
+        recomputeOwnRow();
         return secondsSince(start);
     }
 };
@@ -239,8 +251,8 @@ struct Latency {
 std::pair<Latency, Latency>
 measureInterleaved(RecomputeHarness &a, RecomputeHarness &b, int reps)
 {
-    a.goa.recompute(a.now); // warm scratch buffers, not timed
-    b.goa.recompute(b.now);
+    a.recomputeOwnRow(); // warm scratch buffers, not timed
+    b.recomputeOwnRow();
     double total_a = 0.0;
     double total_b = 0.0;
     double min_a = 0.0;
@@ -496,35 +508,49 @@ main(int argc, char **argv)
     //    flat split prices the zone at O(servers x slots) every
     //    time; the rack->row->zone tier re-splits at
     //    O((rows + racks) x slots) and, in steady state (one rack's
-    //    telemetry changed), re-aggregates only that rack.
+    //    telemetry changed), re-aggregates only that rack and its
+    //    row.
     std::vector<core::ServerProfile> zone_profiles;
     core::BudgetHierarchy hierarchy(harness_1w.model, {});
+    core::ProfileAggregator aggregator;
     for (int r = 0; r < cfg.racks; ++r) {
-        auto rack_profiles = syntheticRack(r, cfg.serversPerRack);
+        const auto rack_profiles = syntheticRack(r, cfg.serversPerRack);
         for (const auto &p : rack_profiles)
             zone_profiles.push_back(p);
-        hierarchy.addRack(std::move(rack_profiles));
+        core::ServerProfile aggregate;
+        aggregator.aggregate(rack_profiles.data(), rack_profiles.size(),
+                             aggregate);
+        hierarchy.addRackAggregate(std::move(aggregate));
     }
     const power::Watts zone_limit{cfg.racks * cfg.serversPerRack *
                                   450.0};
     constexpr int kHierReps = 16;
 
     core::BudgetAllocator flat_alloc(harness_1w.model);
+    const std::vector<double> flat_row(
+        static_cast<std::size_t>(sim::kSlotsPerWeek),
+        (zone_limit * (1.0 - core::BudgetConfig{}.safetyFraction))
+            .count());
     core::BudgetAllocator::SplitScratch flat_scratch;
     std::vector<core::ProfileTemplate> flat_out;
     auto start = Clock::now();
     for (int rep = 0; rep < kHierReps; ++rep)
-        flat_alloc.splitInto(zone_limit, zone_profiles, flat_scratch,
-                             flat_out);
+        flat_alloc.splitWeeklyInto(flat_row, zone_profiles,
+                                   flat_scratch, flat_out);
     const double flat_us = secondsSince(start) / kHierReps * 1e6;
 
     hierarchy.recompute(zone_limit); // build aggregates, not timed
+    core::ServerProfile slot;
     start = Clock::now();
     for (int rep = 0; rep < kHierReps; ++rep) {
-        // Steady state: one rack's telemetry pull changed.
-        hierarchy.setRackProfiles(rep % cfg.racks,
-                                  syntheticRack(rep % cfg.racks,
-                                                cfg.serversPerRack));
+        // Steady state: one rack's telemetry pull changed; its
+        // servers are aggregated here, as its gOA would.
+        const int rack = rep % cfg.racks;
+        const auto rack_profiles =
+            syntheticRack(rack, cfg.serversPerRack);
+        aggregator.aggregate(rack_profiles.data(), rack_profiles.size(),
+                             slot);
+        hierarchy.exchangeRackAggregate(rack, slot);
         hierarchy.recompute(zone_limit);
     }
     const double hier_us = secondsSince(start) / kHierReps * 1e6;

@@ -627,11 +627,18 @@ runServiceSim(const ServiceSimConfig &config)
         }
     });
 
+    // Each gOA splits a constant row of its rack's usable watts;
+    // one row buffer serves every recompute.
+    std::vector<double> usable_row;
     auto run_goa = [&](core::GlobalOverclockingAgent &goa,
                        const sim::FaultPlan &plan, int rack_idx,
                        sim::Tick now) {
+        usable_row.assign(
+            static_cast<std::size_t>(sim::kSlotsPerWeek),
+            goa.usableWatts().count());
         if (!plan.enabled()) {
-            goa.recompute(now);
+            goa.pullProfiles();
+            goa.recomputeWithBudget(now, usable_row);
             return;
         }
         if (plan.goaDown(now)) {
@@ -657,7 +664,8 @@ runServiceSim(const ServiceSimConfig &config)
                 ? plan.corruptionKind(server, now)
                 : -1;
         };
-        auto batch = goa.recompute(now, rf);
+        goa.pullProfiles(rf);
+        auto batch = goa.recomputeWithBudget(now, usable_row, rf);
         auto &queue = in_flight[rack_idx];
         for (auto &pending : batch)
             queue.push_back(std::move(pending));

@@ -78,8 +78,8 @@ TraceSimConfig::validate() const
         fail("racksPerRow must be >= 1 (got " +
              std::to_string(racksPerRow) + ")");
     }
-    if (budgetPath != BudgetPath::PerRack && faults.enabled) {
-        fail("hierarchical budget paths do not support fault "
+    if (budgetPath == BudgetPath::HierarchyZone && faults.enabled) {
+        fail("budgetPath = HierarchyZone does not support fault "
              "injection (the lockstep recompute has no outage-retry "
              "path); use budgetPath = PerRack with faults");
     }
@@ -153,12 +153,12 @@ secondsSince(Clock::time_point start)
  * One rack's build state plus its resumable control loop.
  *
  * The former buildRack/simulateRack pair, reshaped so the loop can
- * pause at recompute boundaries: the PerRack and
- * HierarchyEquivalence paths run build() + advance(end) + finish()
- * in one go (racks fully independent, built and freed inside their
- * chunk), while the HierarchyZone orchestrator keeps every rack
- * resident and alternates parallel advance/boundary phases with the
- * serial zone recompute (see runLockstepZone).
+ * pause at recompute boundaries: the independent paths run build()
+ * + advance(end) + finish() in one go (racks fully independent,
+ * built and freed inside their chunk), while the HierarchyZone
+ * orchestrator keeps every rack resident and alternates parallel
+ * advance/boundary phases with the serial zone recompute (see
+ * runLockstepZone).
  *
  * Traces are streamed: build() creates one ServerTraceStream per
  * server, derives the rack limit from a first streaming pass over
@@ -219,7 +219,6 @@ class RackRuntime
   private:
     void stepProlog(sim::Tick t);
     void maybeRecompute(sim::Tick t);
-    void recomputeFaultAware(sim::Tick now);
     void stepMain(sim::Tick t);
     /** Stream windows forward until @p slot is materialized. */
     void ensureSlot(std::size_t slot);
@@ -287,8 +286,10 @@ class RackRuntime
     /** This rack's aggregated profile (HierarchyZone exchange
      *  slot). */
     core::ServerProfile aggregate_;
-    /** Per-slot usable row scratch (HierarchyEquivalence). */
-    std::vector<double> usableScratch_;
+    /** Constant row of this rack's usable watts: the budget its
+     *  PerRack recomputes split.  Held by the rack because a fresh
+     *  row per recompute tripled the page faults of one-step runs. */
+    std::vector<double> ownRow_;
     /** Refill seconds inside the current timed sim method, so they
      *  are booked as generation, not replay. */
     double pendingRefillS_ = 0.0;
@@ -526,48 +527,6 @@ RackRuntime::stepProlog(sim::Tick t)
 }
 
 void
-RackRuntime::recomputeFaultAware(sim::Tick now)
-{
-    // Fault-aware recompute: telemetry faults during the pull,
-    // budget pushes queued (possibly delayed/corrupted) instead of
-    // applied.
-    if (!plan_.enabled()) {
-        goa_->recompute(now);
-        return;
-    }
-    const sim::FaultPlan &plan = plan_;
-    core::RecomputeFaults rf;
-    rf.telemetryAttempts = config_.faults.telemetryAttempts;
-    rf.telemetryLost = [&plan, now](int server, int attempt) {
-        return plan.telemetryLost(server, now, attempt);
-    };
-    rf.budgetLost = [&plan, now](int server) {
-        return plan.budgetLost(server, now);
-    };
-    rf.budgetDelay = [&plan, now](int server) {
-        return plan.budgetDelay(server, now);
-    };
-    rf.budgetCorrupt = [&plan, now](int server) {
-        return plan.budgetCorrupted(server, now)
-            ? plan.corruptionKind(server, now)
-            : -1;
-    };
-    auto batch = goa_->recompute(now, rf);
-    // Recompute-rate queue growth (weekly, not per-step):
-    // soclint:allow(PERF-001)
-    for (auto &pending : batch)
-        inFlight_.push_back(std::move(pending));
-    std::stable_sort(
-        inFlight_.begin() +
-            static_cast<std::ptrdiff_t>(nextDelivery_),
-        inFlight_.end(),
-        [](const core::PendingAssignment &a,
-           const core::PendingAssignment &b) {
-            return a.deliverAt < b.deliverAt;
-        });
-}
-
-void
 RackRuntime::maybeRecompute(sim::Tick t)
 {
     if (t < nextRecompute_)
@@ -584,19 +543,47 @@ RackRuntime::maybeRecompute(sim::Tick t)
         nextRecompute_ = t + config_.controlStep;
         return;
     }
-    if (config_.budgetPath == BudgetPath::HierarchyEquivalence) {
-        // Hierarchy plumbing with a provably equal budget: the
-        // two-phase pull + splitWeeklyInto over a constant usable
-        // row equals recompute(t)'s splitInto bit for bit (see
-        // BudgetAllocator::splitWeeklyInto).
+    // The rack splits its own limit, through the two-phase
+    // recompute the zone path feeds a hierarchy share.
+    ownRow_.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
+                   goa_->usableWatts().count());
+    if (!plan_.enabled()) {
         goa_->pullProfiles();
-        usableScratch_.assign(
-            static_cast<std::size_t>(sim::kSlotsPerWeek),
-            rack_->limitWatts().count() *
-                (1.0 - goa_->config().budget.safetyFraction));
-        goa_->recomputeWithBudget(t, usableScratch_);
+        goa_->recomputeWithBudget(t, ownRow_);
     } else {
-        recomputeFaultAware(t);
+        // Telemetry faults during the pull; budget pushes queued
+        // (possibly delayed/corrupted) instead of applied.
+        const sim::FaultPlan &plan = plan_;
+        core::RecomputeFaults rf;
+        rf.telemetryAttempts = config_.faults.telemetryAttempts;
+        rf.telemetryLost = [&plan, t](int server, int attempt) {
+            return plan.telemetryLost(server, t, attempt);
+        };
+        rf.budgetLost = [&plan, t](int server) {
+            return plan.budgetLost(server, t);
+        };
+        rf.budgetDelay = [&plan, t](int server) {
+            return plan.budgetDelay(server, t);
+        };
+        rf.budgetCorrupt = [&plan, t](int server) {
+            return plan.budgetCorrupted(server, t)
+                ? plan.corruptionKind(server, t)
+                : -1;
+        };
+        goa_->pullProfiles(rf);
+        auto batch = goa_->recomputeWithBudget(t, ownRow_, rf);
+        // Recompute-rate queue growth (weekly, not per-step):
+        // soclint:allow(PERF-001)
+        for (auto &pending : batch)
+            inFlight_.push_back(std::move(pending));
+        std::stable_sort(
+            inFlight_.begin() +
+                static_cast<std::ptrdiff_t>(nextDelivery_),
+            inFlight_.end(),
+            [](const core::PendingAssignment &a,
+               const core::PendingAssignment &b) {
+                return a.deliverAt < b.deliverAt;
+            });
     }
     if (outageFirstMissed_ >= 0) {
         out_.recoverySum += t - outageFirstMissed_;
@@ -995,7 +982,8 @@ rackGrain(std::size_t n_racks, int threads)
 }
 
 /**
- * Independent-racks runner (PerRack and HierarchyEquivalence):
+ * Independent-racks runner (PerRack and its HierarchyEquivalence
+ * alias):
  * each rack is built, simulated and *freed* inside its chunk, so
  * memory stays O(racks in flight x streamWindow), not O(fleet x
  * horizon) — what makes the 7.1k-rack runs of EXPERIMENTS.md

@@ -38,18 +38,20 @@ namespace cluster
 /** Power-draw tiers of Table I (how tight the rack limit is). */
 enum class PowerTier { High, Medium, Low };
 
-/** Which budget path the gOAs recompute through (DESIGN.md §13). */
+/**
+ * Which budget the gOAs split (DESIGN.md §13).  Every path runs the
+ * same two-phase recompute (pullProfiles + recomputeWithBudget);
+ * they differ only in the per-slot row each gOA splits.
+ */
 enum class BudgetPath {
-    /** Each rack's gOA splits its own limit flat — the seed
-     *  behavior, always available. */
+    /** Each rack's gOA splits a constant row of its own usable
+     *  watts (the rack limit less the safety margin) — the seed
+     *  behavior, and the only path that accepts faults. */
     PerRack,
     /**
-     * The hierarchical two-phase recompute (pullProfiles +
-     * recomputeWithBudget) fed a constant usable row equal to the
-     * rack limit minus the safety margin: exercises the hierarchy
-     * plumbing while staying bit-identical to PerRack (the
-     * splitWeeklyInto equivalence guarantee) — the verification
-     * mode for small fleets.
+     * Runs exactly as PerRack, faults included.  Kept as a distinct
+     * enumerator so code that switches over every path still
+     * compiles.
      */
     HierarchyEquivalence,
     /**
@@ -57,7 +59,7 @@ enum class BudgetPath {
      * between recompute boundaries; at each boundary every gOA's
      * profiles are aggregated into core::BudgetHierarchy, the zone
      * limit (the sum of the rack limits) is re-split incrementally,
-     * and each gOA pushes its rack's budget share down to its sOAs.
+     * and each gOA splits its rack's budget share across its sOAs.
      * Requires faults disabled (the lockstep orchestrator has no
      * outage-retry path).
      */
@@ -121,10 +123,8 @@ struct TraceSimConfig {
      * Budget recompute topology.  PerRack (default) keeps every
      * result bit-identical to the seed; HierarchyZone is the
      * paper-scale path (racks/s gated at 7.1k racks by
-     * bench_check.sh); HierarchyEquivalence runs the hierarchy
-     * plumbing with a budget provably equal to PerRack's, for
-     * equivalence tests.  The hierarchical paths reject
-     * faults.enabled (validate()).
+     * bench_check.sh) and rejects faults.enabled (validate());
+     * HierarchyEquivalence runs exactly as PerRack.
      */
     BudgetPath budgetPath = BudgetPath::PerRack;
     /** Racks per row of the HierarchyZone tier. */

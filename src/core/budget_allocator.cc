@@ -43,24 +43,14 @@ BudgetAllocator::split(power::Watts limit,
                        const std::vector<ServerProfile> &profiles)
     const
 {
-    SplitScratch scratch;
-    std::vector<ProfileTemplate> out;
-    splitInto(limit, profiles, scratch, out);
-    return out;
-}
-
-void
-BudgetAllocator::splitInto(power::Watts limit,
-                           const std::vector<ServerProfile> &profiles,
-                           SplitScratch &scratch,
-                           std::vector<ProfileTemplate> &out) const
-{
-    // Scratch buffers feed ProfileTemplate::assignWeekly, which
-    // stores raw doubles; the unit drops to a raw count only at
-    // the splitImpl boundary below.
     const power::Watts usable =
         limit * (1.0 - config_.safetyFraction);
-    splitImpl(nullptr, usable.count(), profiles, scratch, out);
+    const std::vector<double> row(
+        static_cast<std::size_t>(sim::kSlotsPerWeek), usable.count());
+    SplitScratch scratch;
+    std::vector<ProfileTemplate> out;
+    splitWeeklyInto(row, profiles, scratch, out);
+    return out;
 }
 
 void
@@ -70,7 +60,7 @@ BudgetAllocator::splitWeeklyInto(
     SplitScratch &scratch,
     std::vector<ProfileTemplate> &out) const
 {
-    // Checked in every build: splitImpl reads a full week of slots
+    // Checked in every build: the split reads a full week of slots
     // from the row.
     if (usablePerSlot.size() !=
         static_cast<std::size_t>(sim::kSlotsPerWeek)) {
@@ -79,16 +69,6 @@ BudgetAllocator::splitWeeklyInto(
             std::to_string(usablePerSlot.size()) + " slots, expected " +
             std::to_string(sim::kSlotsPerWeek));
     }
-    splitImpl(usablePerSlot.data(), 0.0, profiles, scratch, out);
-}
-
-void
-BudgetAllocator::splitImpl(const double *usablePerSlot,
-                           double usableFlat,
-                           const std::vector<ServerProfile> &profiles,
-                           SplitScratch &scratch,
-                           std::vector<ProfileTemplate> &out) const
-{
     assert(!profiles.empty());
     const std::size_t n = profiles.size();
     const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
@@ -148,9 +128,8 @@ BudgetAllocator::splitImpl(const double *usablePerSlot,
     }
 
     for (int slot = 0; slot < sim::kSlotsPerWeek; ++slot) {
-        const double usable = usablePerSlot != nullptr
-            ? usablePerSlot[slot]
-            : usableFlat;
+        const double usable =
+            usablePerSlot[static_cast<std::size_t>(slot)];
 
         // Phase 2: regular power is the initial budget.
         double regular_sum = 0.0;

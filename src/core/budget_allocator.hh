@@ -63,11 +63,11 @@ class BudgetAllocator
 {
   public:
     /**
-     * Reusable working memory for splitInto.  A caller that keeps
-     * one instance across recomputes (the gOA does) makes the split
-     * allocation-free in steady state: the per-slot regular/demand
-     * scratch and the per-server weekly buffers retain their
-     * capacity between calls.
+     * Reusable working memory for splitWeeklyInto.  A caller that
+     * keeps one instance across recomputes (the gOA does) makes the
+     * split allocation-free in steady state: the per-slot
+     * regular/demand scratch and the per-server weekly buffers
+     * retain their capacity between calls.
      */
     struct SplitScratch {
         std::vector<double> regular;
@@ -91,7 +91,9 @@ class BudgetAllocator
                     BudgetConfig config = {});
 
     /**
-     * Split @p limit across servers for every slot of a week.
+     * Split @p limit across servers for every slot of a week: the
+     * convenience form of splitWeeklyInto over a constant row of
+     * limit * (1 - safetyFraction), with fresh buffers.
      *
      * @param limit    Rack power limit.
      * @param profiles One profile per server.
@@ -102,27 +104,17 @@ class BudgetAllocator
           const std::vector<ServerProfile> &profiles) const;
 
     /**
-     * Same split, writing into caller-owned buffers.  @p out is
-     * resized to profiles.size(); its templates are overwritten in
-     * place (assignWeekly), so repeated calls with the same scratch
-     * and output vectors perform no steady-state allocation.
-     * Results are identical to split().
-     */
-    void splitInto(power::Watts limit,
-                   const std::vector<ServerProfile> &profiles,
-                   SplitScratch &scratch,
-                   std::vector<ProfileTemplate> &out) const;
-
-    /**
      * Split a *per-slot* limit across members.  @p usablePerSlot
      * holds one usable-watts value per slot of the week
      * (sim::kSlotsPerWeek entries) and is consumed as-is — no
      * safety fraction is re-applied, so a hierarchy applying the
      * margin once at the top level can pass intermediate budgets
-     * down unchanged (see core/budget_hierarchy.hh).  With a
-     * constant row equal to limit * (1 - safetyFraction) this is
-     * bit-identical to splitInto.  A row of any other length throws
-     * std::invalid_argument before @p scratch or @p out is touched.
+     * down unchanged (see core/budget_hierarchy.hh).  @p out is
+     * resized to profiles.size(); its templates are overwritten in
+     * place (assignWeekly), so repeated calls with the same scratch
+     * and output vectors perform no steady-state allocation.  A row
+     * of any other length throws std::invalid_argument before
+     * @p scratch or @p out is touched.
      */
     void splitWeeklyInto(const std::vector<double> &usablePerSlot,
                          const std::vector<ServerProfile> &profiles,
@@ -145,13 +137,6 @@ class BudgetAllocator
                                  sim::Tick t) const;
 
   private:
-    /** Shared split loop: per-slot usable watts come from
-     *  @p usablePerSlot when non-null, else @p usableFlat. */
-    void splitImpl(const double *usablePerSlot, double usableFlat,
-                   const std::vector<ServerProfile> &profiles,
-                   SplitScratch &scratch,
-                   std::vector<ProfileTemplate> &out) const;
-
     const power::PowerModel &model_;
     BudgetConfig config_;
 };

@@ -1,6 +1,8 @@
 #include "core/budget_hierarchy.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace soc
@@ -12,7 +14,12 @@ BudgetHierarchy::BudgetHierarchy(const power::PowerModel &model,
                                  HierarchyConfig config)
     : model_(model), config_(config), allocator_(model, config.budget)
 {
-    assert(config_.racksPerRow > 0);
+    // Checked in every build: rack ids map to rows by division.
+    if (config_.racksPerRow < 1) {
+        throw std::invalid_argument(
+            "BudgetHierarchy: racksPerRow must be >= 1 (got " +
+            std::to_string(config_.racksPerRow) + ")");
+    }
 }
 
 void
@@ -55,41 +62,10 @@ ProfileAggregator::aggregate(const ServerProfile *members,
 }
 
 int
-BudgetHierarchy::addRack(std::vector<ServerProfile> profiles)
-{
-    assert(!profiles.empty());
-    assert(!externalAggregates_ &&
-           "BudgetHierarchy: addRack mixed with addRackAggregate");
-    const int id = static_cast<int>(rackProfiles_.size());
-    rackProfiles_.push_back(std::move(profiles));
-    rackDirty_.push_back(true);
-
-    const auto row = static_cast<std::size_t>(id) /
-        static_cast<std::size_t>(config_.racksPerRow);
-    if (row >= rowCount_) {
-        rowCount_ = row + 1;
-        rackAggregates_.emplace_back();
-        rackBudgets_.emplace_back();
-        rowAggregates_.emplace_back();
-        rowDirty_.push_back(true);
-    }
-    rackAggregates_[row].emplace_back();
-    rowDirty_[row] = true;
-    return id;
-}
-
-int
 BudgetHierarchy::addRackAggregate(ServerProfile aggregate)
 {
-    assert((rackProfiles_.empty() || externalAggregates_) &&
-           "BudgetHierarchy: addRackAggregate mixed with addRack");
-    externalAggregates_ = true;
-    const int id = static_cast<int>(rackProfiles_.size());
-    // The per-server slot stays empty: aggregates are pushed from
-    // outside, the hierarchy never aggregates this rack itself.
-    rackProfiles_.emplace_back();
-    rackDirty_.push_back(false);
-
+    const int id = static_cast<int>(rackCount_);
+    ++rackCount_;
     const auto row = static_cast<std::size_t>(id) /
         static_cast<std::size_t>(config_.racksPerRow);
     if (row >= rowCount_) {
@@ -105,25 +81,9 @@ BudgetHierarchy::addRackAggregate(ServerProfile aggregate)
 }
 
 void
-BudgetHierarchy::setRackProfiles(int rack,
-                                 std::vector<ServerProfile> profiles)
-{
-    assert(!profiles.empty());
-    assert(!externalAggregates_ &&
-           "BudgetHierarchy: setRackProfiles on an aggregate rack");
-    const auto r = static_cast<std::size_t>(rack);
-    rackProfiles_[r] = std::move(profiles);
-    rackDirty_[r] = true;
-    rowDirty_[r / static_cast<std::size_t>(config_.racksPerRow)] =
-        true;
-}
-
-void
 BudgetHierarchy::exchangeRackAggregate(int rack,
                                        ServerProfile &aggregate)
 {
-    assert(externalAggregates_ &&
-           "BudgetHierarchy: exchangeRackAggregate on addRack racks");
     const auto r = static_cast<std::size_t>(rack);
     const auto k = static_cast<std::size_t>(config_.racksPerRow);
     std::swap(rackAggregates_[r / k][r % k], aggregate);
@@ -133,24 +93,10 @@ BudgetHierarchy::exchangeRackAggregate(int rack,
 void
 BudgetHierarchy::recompute(power::Watts zoneLimit)
 {
-    if (rackProfiles_.empty())
+    if (rackCount_ == 0)
         return;
-    const auto k = static_cast<std::size_t>(config_.racksPerRow);
 
-    // 1. Rebuild stale rack aggregates (dirty racks only; racks
-    //    registered through addRackAggregate are never dirty — their
-    //    aggregates arrive pre-built via exchangeRackAggregate).
-    for (std::size_t r = 0; r < rackProfiles_.size(); ++r) {
-        if (!rackDirty_[r])
-            continue;
-        aggregator_.aggregate(rackProfiles_[r].data(),
-                              rackProfiles_[r].size(),
-                              rackAggregates_[r / k][r % k]);
-        rackDirty_[r] = false;
-        ++stats_.rackAggregations;
-    }
-
-    // 2. Rebuild stale row aggregates from their rack aggregates.
+    // 1. Rebuild stale row aggregates from their rack aggregates.
     for (std::size_t row = 0; row < rowCount_; ++row) {
         if (!rowDirty_[row])
             continue;
@@ -161,7 +107,7 @@ BudgetHierarchy::recompute(power::Watts zoneLimit)
         ++stats_.rowAggregations;
     }
 
-    // 3. Zone -> rows.  The safety margin is applied here, once.
+    // 2. Zone -> rows.  The safety margin is applied here, once.
     const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
     const power::Watts usable =
         zoneLimit * (1.0 - config_.budget.safetyFraction);
@@ -170,7 +116,7 @@ BudgetHierarchy::recompute(power::Watts zoneLimit)
                                rowBudgets_);
     ++stats_.splits;
 
-    // 4. Row -> racks, per row, over the row's per-slot budget.
+    // 3. Row -> racks, per row, over the row's per-slot budget.
     for (std::size_t row = 0; row < rowCount_; ++row) {
         rowBudgets_[row].fillWeek(limitRow_.data());
         allocator_.splitWeeklyInto(limitRow_, rackAggregates_[row],

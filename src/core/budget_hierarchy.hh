@@ -11,25 +11,25 @@
  *
  * where a rack aggregate sums its servers' power / overclocked-core
  * / requested-core templates (utilization is averaged) and a row
- * aggregate does the same over its racks.  Each per-rack gOA then
- * splits its own rack budget across its servers exactly as today,
- * on its own (staggered) schedule.
+ * aggregate does the same over its racks.  Racks arrive aggregated:
+ * each per-rack gOA reduces its own servers' profiles with a
+ * ProfileAggregator and hands the hierarchy one profile per rack.
+ * Each gOA then splits its rack budget across its servers.
  *
- * Costs per recompute, with R racks of s servers grouped into rows
- * of k racks:
+ * Costs per recompute, with R racks grouped into rows of k racks:
  *
- *  - aggregation: O(s x slots) per rack whose profiles changed
- *    since the last recompute (dirty tracking — unchanged racks
- *    reuse their aggregate);
+ *  - aggregation: O(k x slots) per row holding a rack whose
+ *    aggregate was exchanged since the last recompute (dirty
+ *    tracking per row — untouched rows reuse their aggregate);
  *  - splits: O((R/k + R) x slots), independent of the server count.
  *
  * The safety margin is applied once, at the zone level; the
  * intermediate splits use BudgetAllocator::splitWeeklyInto, which
  * consumes per-slot limits as-is.  Everything is a pure function of
- * the registered profiles and the zone limit: recompute(), run
- * incrementally after any sequence of setRackProfiles calls, yields
- * budgets bit-identical to a freshly built hierarchy over the same
- * inputs (enforced by tests/core/budget_hierarchy_test.cc).
+ * the registered aggregates and the zone limit: recompute(), run
+ * incrementally after any sequence of exchangeRackAggregate calls,
+ * yields budgets bit-identical to a freshly built hierarchy over the
+ * same inputs (enforced by tests/core/budget_hierarchy_test.cc).
  */
 
 #ifndef SOC_CORE_BUDGET_HIERARCHY_HH
@@ -89,7 +89,9 @@ class BudgetHierarchy
   public:
     /** Recompute-cost counters, for tests and the bench driver. */
     struct Stats {
-        /** Rack aggregates rebuilt (== dirty racks seen). */
+        /** Rack aggregates rebuilt by the hierarchy itself.  Always
+         *  0: racks arrive pre-aggregated.  Kept because the
+         *  benchmark digest reports it (hier_rack_aggregations). */
         std::uint64_t rackAggregations = 0;
         /** Row aggregates rebuilt. */
         std::uint64_t rowAggregations = 0;
@@ -97,32 +99,21 @@ class BudgetHierarchy
         std::uint64_t splits = 0;
     };
 
+    /** Throws std::invalid_argument unless config.racksPerRow >= 1
+     *  (checked in every build). */
     BudgetHierarchy(const power::PowerModel &model,
                     HierarchyConfig config = {});
 
     /**
-     * Register a rack with its per-server profiles; returns the
+     * Register a rack by its aggregate profile (one
+     * ProfileAggregator reduction over its servers); returns the
      * rack id (sequential).  Racks fill rows in id order: rack r
-     * belongs to row r / racksPerRow.
-     */
-    int addRack(std::vector<ServerProfile> profiles);
-
-    /** Replace one rack's server profiles (after a telemetry pull);
-     *  marks the rack dirty for the next recompute. */
-    void setRackProfiles(int rack,
-                         std::vector<ServerProfile> profiles);
-
-    /**
-     * Register a rack by its pre-built aggregate profile (one
-     * ProfileAggregator reduction over its servers) instead of the
-     * per-server profiles; returns the rack id.  The externally
-     * aggregated form the trace sim uses: the per-rack gOAs own the
+     * belongs to row r / racksPerRow.  The per-rack gOAs own the
      * server profiles and push fresh aggregates each recompute tick
      * through exchangeRackAggregate, so the hierarchy never stores
      * per-server state.  A default-constructed aggregate is allowed
      * at registration (it reads as an idle rack until the first
-     * exchange).  Aggregate racks and addRack racks must not be
-     * mixed in one hierarchy (asserted).
+     * exchange).
      */
     int addRackAggregate(ServerProfile aggregate);
 
@@ -130,14 +121,14 @@ class BudgetHierarchy
      * Swap in @p aggregate as rack @p rack's current aggregate
      * profile (the previous one is swapped out into @p aggregate for
      * the caller to reuse — zero steady-state allocation) and mark
-     * its row dirty.  Only valid for addRackAggregate racks.
+     * its row dirty.
      */
     void exchangeRackAggregate(int rack, ServerProfile &aggregate);
 
     /**
-     * Rebuild dirty aggregates and re-split @p zoneLimit down to
+     * Rebuild dirty row aggregates and re-split @p zoneLimit down to
      * per-rack budgets.  Splits always rerun (the limit may have
-     * changed); aggregation cost scales with the dirty racks only.
+     * changed); aggregation cost scales with the dirty rows only.
      */
     void recompute(power::Watts zoneLimit);
 
@@ -149,7 +140,7 @@ class BudgetHierarchy
         return rackBudgets_[r / k][r % k];
     }
 
-    std::size_t racks() const { return rackProfiles_.size(); }
+    std::size_t racks() const { return rackCount_; }
     std::size_t rows() const { return rowCount_; }
     const Stats &stats() const { return stats_; }
 
@@ -158,13 +149,7 @@ class BudgetHierarchy
     HierarchyConfig config_;
     BudgetAllocator allocator_;
 
-    /** Per-rack server profiles, by rack id. */
-    std::vector<std::vector<ServerProfile>> rackProfiles_;
-    /** Racks whose aggregate is stale. */
-    std::vector<bool> rackDirty_;
-    /** True once addRackAggregate was used (aggregates are pushed
-     *  from outside; step 1 of recompute never runs). */
-    bool externalAggregates_ = false;
+    std::size_t rackCount_ = 0;
     /** Rack-level aggregates, grouped by row (rack r sits at
      *  [r / racksPerRow][r % racksPerRow]) so each row's members
      *  feed the allocator contiguously, copy-free. */

@@ -55,10 +55,11 @@ GlobalOverclockingAgent::assignEvenSplit()
                         ProfileTemplate::flat(share.count()));
 }
 
-void
-GlobalOverclockingAgent::collectProfiles(
-    const RecomputeFaults &faults)
+const std::vector<ServerProfile> &
+GlobalOverclockingAgent::pullProfiles(const RecomputeFaults &faults)
 {
+    if (agents_.empty())
+        throw std::logic_error("gOA: pullProfiles with no sOAs");
     lastProfiles_.resize(agents_.size());
     lastProfileValid_.resize(agents_.size(), false);
 
@@ -94,6 +95,7 @@ GlobalOverclockingAgent::collectProfiles(
             lastProfiles_[i] = ServerProfile{};
         }
     }
+    return lastProfiles_;
 }
 
 void
@@ -109,37 +111,8 @@ GlobalOverclockingAgent::fillAssignment(BudgetAssignment &assignment,
 }
 
 void
-GlobalOverclockingAgent::recompute(sim::Tick now)
-{
-    if (agents_.empty())
-        throw std::logic_error("gOA: recompute with no sOAs");
-
-    collectProfiles(RecomputeFaults{});
-    allocator_.splitInto(rack_.limitWatts(), lastProfiles_,
-                         splitScratch_, lastBudgets_);
-
-    // Perfect network: apply each assignment directly through one
-    // reused payload instead of materializing a pending batch.
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-        fillAssignment(assignScratch_, i, now);
-        if (!agents_[i]->assignBudget(assignScratch_, now))
-            ++stats_.assignmentsRejected;
-    }
-    ++recomputes_;
-}
-
-const std::vector<ServerProfile> &
-GlobalOverclockingAgent::pullProfiles()
-{
-    if (agents_.empty())
-        throw std::logic_error("gOA: pullProfiles with no sOAs");
-    collectProfiles(RecomputeFaults{});
-    return lastProfiles_;
-}
-
-void
-GlobalOverclockingAgent::recomputeWithBudget(
-    sim::Tick now, const std::vector<double> &usablePerSlot)
+GlobalOverclockingAgent::splitPulled(
+    const std::vector<double> &usablePerSlot)
 {
     if (agents_.empty())
         throw std::logic_error("gOA: recompute with no sOAs");
@@ -151,39 +124,31 @@ GlobalOverclockingAgent::recomputeWithBudget(
             "gOA: recomputeWithBudget without one pulled profile "
             "per sOA");
     }
-
     allocator_.splitWeeklyInto(usablePerSlot, lastProfiles_,
                                splitScratch_, lastBudgets_);
+    ++recomputes_;
+}
+
+void
+GlobalOverclockingAgent::recomputeWithBudget(
+    sim::Tick now, const std::vector<double> &usablePerSlot)
+{
+    splitPulled(usablePerSlot);
+    // Perfect network: apply each assignment directly through one
+    // reused payload instead of materializing a pending batch.
     for (std::size_t i = 0; i < agents_.size(); ++i) {
         fillAssignment(assignScratch_, i, now);
         if (!agents_[i]->assignBudget(assignScratch_, now))
             ++stats_.assignmentsRejected;
     }
-    ++recomputes_;
-}
-
-void
-GlobalOverclockingAgent::releaseProfiles()
-{
-    lastProfiles_.clear();
-    lastProfiles_.shrink_to_fit();
-    // The validity flags must shrink with the storage: a later
-    // collectProfiles resizes both in lockstep.
-    lastProfileValid_.clear();
-    lastProfileValid_.shrink_to_fit();
 }
 
 std::vector<PendingAssignment>
-GlobalOverclockingAgent::recompute(sim::Tick now,
-                                   const RecomputeFaults &faults)
+GlobalOverclockingAgent::recomputeWithBudget(
+    sim::Tick now, const std::vector<double> &usablePerSlot,
+    const RecomputeFaults &faults)
 {
-    if (agents_.empty())
-        throw std::logic_error("gOA: recompute with no sOAs");
-
-    collectProfiles(faults);
-    allocator_.splitInto(rack_.limitWatts(), lastProfiles_,
-                         splitScratch_, lastBudgets_);
-
+    splitPulled(usablePerSlot);
     std::vector<PendingAssignment> pending;
     pending.reserve(agents_.size());
     for (std::size_t i = 0; i < agents_.size(); ++i) {
@@ -224,8 +189,18 @@ GlobalOverclockingAgent::recompute(sim::Tick now,
         }
         pending.push_back(std::move(out));
     }
-    ++recomputes_;
     return pending;
+}
+
+void
+GlobalOverclockingAgent::releaseProfiles()
+{
+    lastProfiles_.clear();
+    lastProfiles_.shrink_to_fit();
+    // The validity flags must shrink with the storage: a later
+    // pullProfiles resizes both in lockstep.
+    lastProfileValid_.clear();
+    lastProfileValid_.shrink_to_fit();
 }
 
 bool

@@ -9,14 +9,19 @@
  * freezes budget *updates* — decentralized enforcement continues
  * (§III-Q5).
  *
- * Messages between the gOA and its sOAs traverse a real network, so
- * the recompute path is split in two: recompute() produces a batch
- * of PendingAssignment deliveries (each with a delivery time), and
- * deliver() applies one to its sOA.  The fault-injection harness
- * drops, delays and corrupts deliveries between the two halves;
- * telemetry pulls retry a bounded number of times and fall back to
- * the profile cached from the previous recompute when a server
- * stays unreachable.
+ * Every recompute runs in two phases.  pullProfiles() collects the
+ * sOAs' profiles; recomputeWithBudget() splits a per-slot budget row
+ * across them and pushes the results.  The row is either the rack's
+ * own usableWatts() or the share a BudgetHierarchy handed down.
+ *
+ * Messages between the gOA and its sOAs traverse a real network.
+ * Under fault injection the push phase returns a batch of
+ * PendingAssignment deliveries (each with a delivery time), and
+ * deliver() applies one to its sOA; the fault-injection harness
+ * drops, delays and corrupts deliveries before they get there.
+ * Telemetry pulls retry a bounded number of times and fall back to
+ * the profile cached from the previous pull when a server stays
+ * unreachable.
  */
 
 #ifndef SOC_CORE_GOA_HH
@@ -142,54 +147,42 @@ class GlobalOverclockingAgent
     void assignEvenSplit();
 
     /**
-     * Periodic recompute: profiles -> heterogeneous weekly budgets
-     * -> push to sOAs (also refreshes each sOA's own template).
-     * Deliveries happen immediately (perfect network).  This is the
-     * steady-state hot path: templates come from the sOAs' slot
-     * aggregators (O(slots), cached when no slot closed), the split
-     * reuses scratch buffers, and no PendingAssignment batch is
-     * materialized — allocation-free once the buffers are warm.
+     * Usable watts of this rack: its limit less the safety margin.
+     * A gOA that splits its own rack's limit passes a constant row
+     * of this value to recomputeWithBudget.
      */
-    void recompute(sim::Tick now);
+    power::Watts usableWatts() const
+    {
+        return rack_.limitWatts() *
+            (1.0 - config_.budget.safetyFraction);
+    }
 
     /**
-     * Fault-aware recompute: telemetry pulls go through
-     * @p faults.telemetryLost with bounded retry (falling back to
-     * the cached profile from the previous recompute when a server
-     * stays unreachable), and the resulting budget pushes are
-     * returned as PendingAssignment batches instead of being
-     * applied — lost pushes are omitted (counted in stats), delayed
-     * pushes carry a later deliverAt, corrupted pushes carry a
-     * poisoned payload for the sOA's validation to reject.  The
-     * caller (simulator) applies each entry with deliver() at its
-     * deliverAt time.
+     * First phase of a recompute: pull every sOA's profile and
+     * cache it for recomputeWithBudget.  Each reached sOA writes its
+     * profile into its entry in place, so pulling twice without an
+     * intervening slot close assembles nothing and yields the same
+     * profiles.  With @p faults hooked, each pull goes through
+     * faults.telemetryLost with bounded retry; a server that stays
+     * unreachable keeps the profile cached from its last successful
+     * pull (an idle profile if there was none), counted in
+     * stats().staleProfiles.  Returns the cached profiles, so a
+     * hierarchical tier (core::BudgetHierarchy) can aggregate them
+     * before deciding the rack's budget.
      */
-    std::vector<PendingAssignment>
-    recompute(sim::Tick now, const RecomputeFaults &faults);
+    const std::vector<ServerProfile> &
+    pullProfiles(const RecomputeFaults &faults = {});
 
     /**
-     * Pull fresh telemetry from every sOA (perfect network) and
-     * return the per-server profiles, without splitting or pushing
-     * budgets.  The first half of recompute(now), exposed so a
-     * hierarchical tier (core::BudgetHierarchy) can aggregate the
-     * rack's profiles before deciding its budget; the pulled
-     * profiles stay cached for recomputeWithBudget.  Each pull
-     * copies every sOA's aggregator-cached templates once into
-     * that server's entry, so pulling twice without an intervening
-     * slot close assembles nothing and yields the same profiles —
-     * the two-phase sequence
-     * pullProfiles() + recomputeWithBudget(now, flat usable row)
-     * is bit-identical to recompute(now) (see splitWeeklyInto).
-     */
-    const std::vector<ServerProfile> &pullProfiles();
-
-    /**
-     * Second half of a hierarchical recompute: split the externally
-     * decided per-slot usable watts (@p usablePerSlot, one entry per
-     * slot of the week, consumed as-is — the hierarchy applies the
-     * safety margin once at the zone) across the profiles pulled by
-     * pullProfiles(), and push the budgets to the sOAs exactly like
-     * recompute(now) does.  Counts as one recompute.  Throws
+     * Second phase of a recompute over a perfect network: split
+     * @p usablePerSlot (one usable-watts entry per slot of the week,
+     * consumed as-is — see usableWatts() and
+     * BudgetAllocator::splitWeeklyInto) across the profiles pulled
+     * by pullProfiles(), and apply each sOA's budget (which also
+     * refreshes its own template).  Counts as one recompute.  The
+     * steady-state hot path: the split reuses scratch buffers and
+     * no PendingAssignment is materialized, so it is
+     * allocation-free once the buffers are warm.  Throws
      * std::logic_error when the gOA does not hold one pulled
      * profile per sOA (no pull yet, or releaseProfiles() since),
      * and std::invalid_argument for a row that is not
@@ -198,6 +191,20 @@ class GlobalOverclockingAgent
      */
     void recomputeWithBudget(sim::Tick now,
                              const std::vector<double> &usablePerSlot);
+
+    /**
+     * Fault-aware second phase: the same split, but the budget
+     * pushes are returned as PendingAssignment batches instead of
+     * being applied.  Lost pushes are omitted (counted in stats),
+     * delayed pushes carry a later deliverAt, and corrupted pushes
+     * carry a poisoned payload for the sOA's validation to reject.
+     * The caller (simulator) applies each entry with deliver() at
+     * its deliverAt time.  Throws like the two-argument form.
+     */
+    std::vector<PendingAssignment>
+    recomputeWithBudget(sim::Tick now,
+                        const std::vector<double> &usablePerSlot,
+                        const RecomputeFaults &faults);
 
     /**
      * Drop the cached profile storage (fleet-scale footprint trim
@@ -223,13 +230,10 @@ class GlobalOverclockingAgent
     std::uint64_t recomputeCount() const { return recomputes_; }
 
   private:
-    /**
-     * Pull telemetry (through @p faults when hooked) and refresh
-     * lastProfiles_/lastProfileValid_: each reached sOA writes its
-     * profile into its entry in place (readProfile); unreachable
-     * servers' entries are left untouched.
-     */
-    void collectProfiles(const RecomputeFaults &faults);
+    /** Split @p usablePerSlot over the pulled profiles into
+     *  lastBudgets_ and count the recompute (throws as documented
+     *  on recomputeWithBudget). */
+    void splitPulled(const std::vector<double> &usablePerSlot);
 
     /** Fill @p assignment for server @p i's budget at @p now. */
     void fillAssignment(BudgetAssignment &assignment, std::size_t i,

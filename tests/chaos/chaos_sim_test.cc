@@ -139,6 +139,20 @@ TEST(ChaosTraceSim, BitIdenticalAcrossThreadCountsAndReruns)
     EXPECT_GT(serial.staleLeaseTicks, 0u);
 }
 
+TEST(ChaosTraceSim, EquivalenceAliasRunsFaultsLikePerRack)
+{
+    // HierarchyEquivalence runs exactly as PerRack, so it accepts
+    // faults and reproduces PerRack's run, fault counters included.
+    auto per_rack = chaosConfig();
+    per_rack.budgetPath = BudgetPath::PerRack;
+    auto alias = chaosConfig();
+    alias.budgetPath = BudgetPath::HierarchyEquivalence;
+    const auto a = runTraceSim(per_rack);
+    const auto b = runTraceSim(alias);
+    EXPECT_GT(a.faults.total(), 0u);
+    expectIdentical(a, b);
+}
+
 TEST(ChaosTraceSim, FaultFreeRunsReportZeroChaosMetrics)
 {
     auto cfg = chaosConfig();

@@ -383,6 +383,33 @@ struct GoaFixture {
     }
 };
 
+/** A constant row of @p goa's usable watts: the budget a gOA
+ *  splits when it splits its own rack's limit. */
+std::vector<double>
+ownRow(const GlobalOverclockingAgent &goa)
+{
+    return std::vector<double>(
+        static_cast<std::size_t>(sim::kSlotsPerWeek),
+        goa.usableWatts().count());
+}
+
+/** Perfect-network recompute over the rack's own limit. */
+void
+recomputeOwnRow(GlobalOverclockingAgent &goa, Tick now)
+{
+    goa.pullProfiles();
+    goa.recomputeWithBudget(now, ownRow(goa));
+}
+
+/** Fault-aware recompute over the rack's own limit. */
+std::vector<PendingAssignment>
+recomputeOwnRow(GlobalOverclockingAgent &goa, Tick now,
+                const RecomputeFaults &faults)
+{
+    goa.pullProfiles(faults);
+    return goa.recomputeWithBudget(now, ownRow(goa), faults);
+}
+
 } // namespace
 
 TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
@@ -398,7 +425,7 @@ TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
     // of telemetry; no tick in between, so this read is exactly
     // server 0's pulled profile.
     tick_both(0, kHour + sim::kSlot);
-    fx.goa->recompute(kHour);
+    recomputeOwnRow(*fx.goa, kHour);
     ASSERT_EQ(fx.goa->stats().staleProfiles, 0u);
     ServerProfile stale0;
     fx.a0->readProfile(stale0, fx.goa->config().strategy);
@@ -414,7 +441,7 @@ TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
     RecomputeFaults rf;
     rf.telemetryAttempts = 3;
     rf.telemetryLost = [](int server, int) { return server == 0; };
-    const auto batch = fx.goa->recompute(3 * kHour, rf);
+    const auto batch = recomputeOwnRow(*fx.goa, 3 * kHour, rf);
 
     // Server 0 failed all three pulls; its budget was computed from
     // the cached profile, and it still receives an assignment.
@@ -449,7 +476,7 @@ TEST(GoaFaults, DropsAndDelaysBudgetPushes)
     rf.budgetDelay = [](int server) {
         return server == 1 ? kMinute : Tick{0};
     };
-    const auto batch = fx.goa->recompute(0, rf);
+    const auto batch = recomputeOwnRow(*fx.goa, 0, rf);
 
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0].serverIndex, 1);
@@ -464,7 +491,8 @@ TEST(GoaFaults, CorruptedPushIsRejectedByTheSoa)
     for (int kind = 0; kind < 3; ++kind) {
         RecomputeFaults rf;
         rf.budgetCorrupt = [kind](int) { return kind; };
-        const auto batch = fx.goa->recompute(kind * kHour, rf);
+        const auto batch =
+            recomputeOwnRow(*fx.goa, kind * kHour, rf);
         ASSERT_EQ(batch.size(), 2u);
         for (const auto &pending : batch) {
             EXPECT_FALSE(
@@ -482,11 +510,11 @@ TEST(GoaFaults, LeaseTtlStampsDeliveredAssignments)
     GoaConfig goa_cfg;
     goa_cfg.leaseTtl = kHour;
     GoaFixture fx(goa_cfg);
-    fx.goa->recompute(0);
+    recomputeOwnRow(*fx.goa, 0);
     EXPECT_FALSE(fx.a0->leaseStale(kHour));
     EXPECT_TRUE(fx.a0->leaseStale(kHour + 1));
     // A later recompute renews the lease.
-    fx.goa->recompute(kHour);
+    recomputeOwnRow(*fx.goa, kHour);
     EXPECT_FALSE(fx.a0->leaseStale(kHour + 1));
     EXPECT_TRUE(fx.a0->leaseStale(2 * kHour + 1));
 }

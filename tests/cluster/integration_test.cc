@@ -80,6 +80,24 @@ struct Stack {
     }
 };
 
+/** A constant row of @p goa's usable watts: the budget a gOA
+ *  splits when it splits its own rack's limit. */
+std::vector<double>
+ownRow(const GlobalOverclockingAgent &goa)
+{
+    return std::vector<double>(
+        static_cast<std::size_t>(sim::kSlotsPerWeek),
+        goa.usableWatts().count());
+}
+
+/** Perfect-network recompute over the rack's own limit. */
+void
+recomputeOwnRow(GlobalOverclockingAgent &goa, Tick now)
+{
+    goa.pullProfiles();
+    goa.recomputeWithBudget(now, ownRow(goa));
+}
+
 } // namespace
 
 TEST(Integration, MetricsSpikesOverclockBothVms)
@@ -132,7 +150,7 @@ TEST(Integration, GoaRecomputeShiftsBudgetTowardDemand)
     req.duration = 2 * sim::kHour;
     stack.soas[0]->requestOverclock(req, 0);
     stack.run(0, sim::kHour, 30 * kSecond);
-    stack.goa.recompute(sim::kHour);
+    recomputeOwnRow(stack.goa, sim::kHour);
     EXPECT_GT(stack.soas[0]->budgetWatts(90 * kMinute),
               stack.soas[1]->budgetWatts(90 * kMinute));
 }

@@ -250,10 +250,9 @@ expectSameSimState(const TraceSimResult &a, const TraceSimResult &b)
 
 TEST(TraceSimHierarchy, EquivalenceModeMatchesPerRackBitIdentically)
 {
-    // HierarchyEquivalence routes every recompute through the
-    // two-phase pull + splitWeeklyInto path over a constant usable
-    // row; the allocator guarantee (ConstantRowMatchesScalarSplit)
-    // lifts to the whole simulation: bit-identical metrics.
+    // HierarchyEquivalence is an alias of PerRack: every rack
+    // splits a constant row of its own usable watts through the
+    // same two-phase recompute, so the metrics agree bit for bit.
     auto flat = hierarchyConfig();
     flat.budgetPath = BudgetPath::PerRack;
     auto equiv = hierarchyConfig();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/budget_hierarchy.hh"
@@ -50,6 +52,18 @@ fleetProfiles(int racks, int servers)
     return fleet;
 }
 
+/** Register @p rack's servers as one aggregated rack (the way the
+ *  trace sim's gOAs hand their racks to the hierarchy). */
+int
+addAggregatedRack(BudgetHierarchy &hierarchy,
+                  const std::vector<ServerProfile> &rack)
+{
+    ProfileAggregator aggregator;
+    ServerProfile aggregate;
+    aggregator.aggregate(rack.data(), rack.size(), aggregate);
+    return hierarchy.addRackAggregate(std::move(aggregate));
+}
+
 } // namespace
 
 TEST(BudgetHierarchy, RackBudgetsConserveZoneLimit)
@@ -58,8 +72,8 @@ TEST(BudgetHierarchy, RackBudgetsConserveZoneLimit)
     cfg.racksPerRow = 4;
     cfg.budget.safetyFraction = 0.0;
     BudgetHierarchy hierarchy(model(), cfg);
-    for (auto &rack : fleetProfiles(12, 6))
-        hierarchy.addRack(std::move(rack));
+    for (const auto &rack : fleetProfiles(12, 6))
+        addAggregatedRack(hierarchy, rack);
     const double zone = 12 * 6 * 450.0;
     hierarchy.recompute(power::Watts{zone});
 
@@ -79,9 +93,10 @@ TEST(BudgetHierarchy, HigherDemandRackGetsMoreBudget)
     BudgetHierarchy hierarchy(model(), cfg);
     // Two racks in one row: identical regular power, demand 2 vs 12
     // requested cores per server.
-    hierarchy.addRack({flatProfile(300.0, 0.5, 0.0, 2.0),
-                       flatProfile(300.0, 0.5, 0.0, 2.0)});
-    hierarchy.addRack({flatProfile(300.0, 0.5, 0.0, 12.0),
+    addAggregatedRack(hierarchy, {flatProfile(300.0, 0.5, 0.0, 2.0),
+                                  flatProfile(300.0, 0.5, 0.0, 2.0)});
+    addAggregatedRack(hierarchy,
+                      {flatProfile(300.0, 0.5, 0.0, 12.0),
                        flatProfile(300.0, 0.5, 0.0, 12.0)});
     hierarchy.recompute(power::Watts{2000.0});
     EXPECT_GT(hierarchy.rackBudget(1).predict(0),
@@ -93,8 +108,8 @@ TEST(BudgetHierarchy, SingleRackReceivesWholeUsableLimit)
     HierarchyConfig cfg;
     cfg.budget.safetyFraction = 0.01;
     BudgetHierarchy hierarchy(model(), cfg);
-    hierarchy.addRack({flatProfile(350.0, 0.5, 1.0, 6.0),
-                       flatProfile(420.0, 0.6, 0.0, 3.0)});
+    addAggregatedRack(hierarchy, {flatProfile(350.0, 0.5, 1.0, 6.0),
+                                  flatProfile(420.0, 0.6, 0.0, 3.0)});
     hierarchy.recompute(power::Watts{3000.0});
     // One rack in one row: every split is a 1-member split, so the
     // whole usable budget (margin applied exactly once) lands on it.
@@ -104,29 +119,33 @@ TEST(BudgetHierarchy, SingleRackReceivesWholeUsableLimit)
 
 TEST(BudgetHierarchy, IncrementalRecomputeMatchesFreshBuild)
 {
+    // 10 racks in rows of 4: the last row is partial.
     const auto fleet = fleetProfiles(10, 5);
     HierarchyConfig cfg;
     cfg.racksPerRow = 4;
 
     BudgetHierarchy incremental(model(), cfg);
     for (const auto &rack : fleet)
-        incremental.addRack(rack);
+        addAggregatedRack(incremental, rack);
     incremental.recompute(power::Watts{20000.0});
 
     // Mutate one rack and recompute incrementally.
     auto changed = fleet;
     changed[7][2] = flatProfile(500.0, 0.9, 2.0, 10.0);
-    const auto base_aggs = incremental.stats().rackAggregations;
-    incremental.setRackProfiles(7, changed[7]);
+    const auto base_aggs = incremental.stats().rowAggregations;
+    ProfileAggregator aggregator;
+    ServerProfile slot;
+    aggregator.aggregate(changed[7].data(), changed[7].size(), slot);
+    incremental.exchangeRackAggregate(7, slot);
     incremental.recompute(power::Watts{20000.0});
-    // Only the one dirty rack was re-aggregated.
-    EXPECT_EQ(incremental.stats().rackAggregations - base_aggs, 1u);
+    // Only the dirty rack's row was re-aggregated.
+    EXPECT_EQ(incremental.stats().rowAggregations - base_aggs, 1u);
 
     // A hierarchy built fresh over the mutated fleet agrees
     // bit-identically on every rack budget.
     BudgetHierarchy fresh(model(), cfg);
     for (const auto &rack : changed)
-        fresh.addRack(rack);
+        addAggregatedRack(fresh, rack);
     fresh.recompute(power::Watts{20000.0});
     for (int r = 0; r < 10; ++r)
         EXPECT_EQ(incremental.rackBudget(r), fresh.rackBudget(r))
@@ -136,15 +155,29 @@ TEST(BudgetHierarchy, IncrementalRecomputeMatchesFreshBuild)
 TEST(BudgetHierarchy, CleanRecomputeSkipsAllAggregation)
 {
     BudgetHierarchy hierarchy(model(), {});
-    for (auto &rack : fleetProfiles(6, 4))
-        hierarchy.addRack(std::move(rack));
+    for (const auto &rack : fleetProfiles(6, 4))
+        addAggregatedRack(hierarchy, rack);
     hierarchy.recompute(power::Watts{10000.0});
-    const auto aggs = hierarchy.stats().rackAggregations;
     const auto row_aggs = hierarchy.stats().rowAggregations;
     // Limit changes re-split but touch no aggregates.
     hierarchy.recompute(power::Watts{12000.0});
-    EXPECT_EQ(hierarchy.stats().rackAggregations, aggs);
     EXPECT_EQ(hierarchy.stats().rowAggregations, row_aggs);
+    // Racks arrive aggregated: the hierarchy never rebuilds one.
+    EXPECT_EQ(hierarchy.stats().rackAggregations, 0u);
+}
+
+TEST(BudgetHierarchy, RejectsNonPositiveRacksPerRow)
+{
+    // Checked in every build: 0 would divide by zero at the second
+    // registration, and a negative count would put every rack in
+    // row 0.
+    for (const int racks_per_row : {0, -3}) {
+        HierarchyConfig cfg;
+        cfg.racksPerRow = racks_per_row;
+        EXPECT_THROW(BudgetHierarchy(model(), cfg),
+                     std::invalid_argument)
+            << "racksPerRow " << racks_per_row;
+    }
 }
 
 TEST(BudgetAllocatorWeekly, ConstantRowMatchesScalarSplit)
@@ -170,38 +203,6 @@ TEST(BudgetAllocatorWeekly, ConstantRowMatchesScalarSplit)
         EXPECT_EQ(scalar[i], weekly[i]);
 }
 
-TEST(BudgetHierarchy, AggregateRacksMatchPerServerRacks)
-{
-    // A hierarchy fed pre-built rack aggregates (the trace sim's
-    // form: gOAs reduce their own servers with ProfileAggregator)
-    // must produce bit-identical budgets to one holding the
-    // per-server profiles itself.
-    const auto fleet = fleetProfiles(10, 5);
-    HierarchyConfig cfg;
-    cfg.racksPerRow = 4;
-
-    BudgetHierarchy internal(model(), cfg);
-    for (const auto &rack : fleet)
-        internal.addRack(rack);
-    internal.recompute(power::Watts{20000.0});
-
-    BudgetHierarchy external(model(), cfg);
-    ProfileAggregator aggregator;
-    for (const auto &rack : fleet) {
-        ServerProfile aggregate;
-        aggregator.aggregate(rack.data(), rack.size(), aggregate);
-        external.addRackAggregate(std::move(aggregate));
-    }
-    external.recompute(power::Watts{20000.0});
-    // Externally-aggregated racks never trigger step-1 aggregation.
-    EXPECT_EQ(external.stats().rackAggregations, 0u);
-
-    ASSERT_EQ(external.racks(), internal.racks());
-    for (int r = 0; r < 10; ++r)
-        EXPECT_EQ(external.rackBudget(r), internal.rackBudget(r))
-            << "rack " << r;
-}
-
 TEST(BudgetHierarchy, ExchangePropagatesDirtinessToItsRowOnly)
 {
     const auto fleet = fleetProfiles(8, 4);
@@ -209,12 +210,8 @@ TEST(BudgetHierarchy, ExchangePropagatesDirtinessToItsRowOnly)
     cfg.racksPerRow = 4;
 
     BudgetHierarchy hierarchy(model(), cfg);
-    ProfileAggregator aggregator;
-    for (const auto &rack : fleet) {
-        ServerProfile aggregate;
-        aggregator.aggregate(rack.data(), rack.size(), aggregate);
-        hierarchy.addRackAggregate(std::move(aggregate));
-    }
+    for (const auto &rack : fleet)
+        addAggregatedRack(hierarchy, rack);
     hierarchy.recompute(power::Watts{16000.0});
     const auto row_aggs = hierarchy.stats().rowAggregations;
 
@@ -222,6 +219,7 @@ TEST(BudgetHierarchy, ExchangePropagatesDirtinessToItsRowOnly)
     // aggregate comes back in the slot for reuse.
     std::vector<ServerProfile> hot(
         4, flatProfile(500.0, 0.9, 2.0, 10.0));
+    ProfileAggregator aggregator;
     ServerProfile slot;
     aggregator.aggregate(hot.data(), hot.size(), slot);
     hierarchy.exchangeRackAggregate(6, slot);
@@ -231,16 +229,10 @@ TEST(BudgetHierarchy, ExchangePropagatesDirtinessToItsRowOnly)
     EXPECT_EQ(hierarchy.stats().rowAggregations - row_aggs, 1u);
 
     BudgetHierarchy fresh(model(), cfg);
-    for (int r = 0; r < 8; ++r) {
-        const auto &rack = fleet[static_cast<std::size_t>(r)];
-        ServerProfile aggregate;
-        if (r == 6)
-            aggregator.aggregate(hot.data(), hot.size(), aggregate);
-        else
-            aggregator.aggregate(rack.data(), rack.size(),
-                                 aggregate);
-        fresh.addRackAggregate(std::move(aggregate));
-    }
+    for (int r = 0; r < 8; ++r)
+        addAggregatedRack(fresh,
+                          r == 6 ? hot
+                                 : fleet[static_cast<std::size_t>(r)]);
     fresh.recompute(power::Watts{16000.0});
     for (int r = 0; r < 8; ++r)
         EXPECT_EQ(hierarchy.rackBudget(r), fresh.rackBudget(r))

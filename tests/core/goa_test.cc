@@ -75,6 +75,24 @@ expectUnchanged(const BudgetState &before, const Fixture &fx)
     EXPECT_EQ(after.soaWatts, before.soaWatts);
 }
 
+/** A constant row of @p goa's usable watts: the budget a gOA
+ *  splits when it splits its own rack's limit. */
+std::vector<double>
+ownRow(const GlobalOverclockingAgent &goa)
+{
+    return std::vector<double>(
+        static_cast<std::size_t>(sim::kSlotsPerWeek),
+        goa.usableWatts().count());
+}
+
+/** Perfect-network recompute over the rack's own limit. */
+void
+recomputeOwnRow(GlobalOverclockingAgent &goa, Tick now)
+{
+    goa.pullProfiles();
+    goa.recomputeWithBudget(now, ownRow(goa));
+}
+
 void
 tickFor(Fixture &fx, Tick duration)
 {
@@ -111,7 +129,7 @@ TEST(Goa, RecomputeProducesHeterogeneousBudgets)
         fx.soas[1]->tick(t);
     }
 
-    fx.goa.recompute(2 * sim::kHour);
+    recomputeOwnRow(fx.goa, 2 * sim::kHour);
     EXPECT_EQ(fx.goa.recomputeCount(), 1u);
     // Server 1 draws more (util 0.5 vs 0.3, plus overclock) and has
     // all the demand: its budget must exceed server 0's.
@@ -127,7 +145,7 @@ TEST(Goa, BudgetsRespectRackLimit)
     for (Tick t = 0; t < sim::kHour; t += kMinute)
         for (auto &soa : fx.soas)
             soa->tick(t);
-    fx.goa.recompute(sim::kHour);
+    recomputeOwnRow(fx.goa, sim::kHour);
     for (Tick t = 0; t < sim::kWeek; t += 37 * kMinute) {
         double sum = 0.0;
         for (const auto &b : fx.goa.lastBudgets())
@@ -147,8 +165,34 @@ TEST(Goa, RecomputeRefreshesOwnTemplates)
     for (Tick t = 0; t < sim::kHour; t += kMinute)
         for (auto &soa : fx.soas)
             soa->tick(t);
-    fx.goa.recompute(sim::kHour);
+    recomputeOwnRow(fx.goa, sim::kHour);
     EXPECT_NE(fx.soas[0]->budgetWatts(2 * sim::kHour), even);
+}
+
+TEST(Goa, OwnRowRecomputeMatchesAllocatorSplit)
+{
+    // usableWatts() applies the allocator's safety margin, so a
+    // constant row of it splits exactly as BudgetAllocator::split
+    // does over the rack limit.
+    Fixture fx(3);
+    fx.goa.assignEvenSplit();
+    OverclockRequest req;
+    req.cores = 8;
+    req.groupId = fx.vms[2];
+    req.duration = 4 * sim::kHour;
+    fx.soas[2]->requestOverclock(req, 0);
+    tickFor(fx, 2 * sim::kHour);
+
+    const std::vector<ServerProfile> profiles =
+        fx.goa.pullProfiles();
+    fx.goa.recomputeWithBudget(2 * sim::kHour, ownRow(fx.goa));
+    const auto expected =
+        BudgetAllocator(model(), fx.goa.config().budget)
+            .split(fx.rack.limitWatts(), profiles);
+    ASSERT_EQ(fx.goa.lastBudgets().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_TRUE(fx.goa.lastBudgets()[i] == expected[i])
+            << "server " << i;
 }
 
 TEST(Goa, RecomputeWithBudgetRejectsWrongLengthRow)
