@@ -53,9 +53,9 @@ echo "==== ci_check: bench gates ===="
 echo "==== ci_check: paper-scale smoke (512 racks) ===="
 # CI-sized slice of the 7,104-rack streaming replay: exercises the
 # HierarchyZone lockstep orchestrator end to end without the full
-# fleet's minutes of wall time.  Success = the run completes and
-# emits its gated fields (values are gated at full scale by
-# bench_check.sh).
+# fleet's minutes of wall time.  Success = the run completes, emits
+# its gated fields (throughput is gated at full scale by
+# bench_check.sh) and stays under a memory ceiling.
 "$ROOT/build/bench/bench_trace_sim" \
     "$ROOT/build/BENCH_paper_smoke.json" --paper-scale --racks 512
 for field in paper_racks_per_s paper_peak_rss_mb; do
@@ -64,6 +64,25 @@ for field in paper_racks_per_s paper_peak_rss_mb; do
         exit 1
     }
 done
+# Memory ceiling for the resident fleet: the run peaks at 740-750 MB
+# at 1 and 4 threads, so a regression of ~40% fails it.  Parsed
+# fail-closed: an unreadable value fails the stage.
+PAPER_SMOKE_RSS_MB_MAX=1024
+PAPER_SMOKE_RSS_MB=$(sed -n \
+    's/.*"paper_peak_rss_mb": \([0-9.]*\).*/\1/p' \
+    "$ROOT/build/BENCH_paper_smoke.json")
+if [ -z "$PAPER_SMOKE_RSS_MB" ]; then
+    echo "FAIL: paper_peak_rss_mb unreadable in paper-scale smoke" \
+         "output" >&2
+    exit 1
+fi
+echo "paper-scale smoke peak RSS: $PAPER_SMOKE_RSS_MB MB" \
+     "(ceiling: $PAPER_SMOKE_RSS_MB_MAX)"
+awk "BEGIN { exit !($PAPER_SMOKE_RSS_MB <= $PAPER_SMOKE_RSS_MB_MAX) }" || {
+    echo "FAIL: paper-scale smoke peak RSS above" \
+         "$PAPER_SMOKE_RSS_MB_MAX MB" >&2
+    exit 1
+}
 
 echo "==== ci_check: six-week horizon smoke (16 racks) ===="
 # Tiny fleet on the paper's full 1w + 5w horizon: crosses weekly
