@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "power/server.hh"
 #include "sim/quant.hh"
@@ -61,8 +63,17 @@ void
 FleetState::addServer(std::size_t vms,
                       const std::vector<bool> &candidate)
 {
-    assert(vms == candidate.size());
-    assert(vms <= kMaxVmsPerServer);
+    // Checked in every build: a VM past bit 63 would alias another
+    // VM's want/active bit instead of failing.
+    if (vms > kMaxVmsPerServer) {
+        throw std::invalid_argument(
+            "FleetState: " + std::to_string(vms) +
+            " VMs on one server exceed the 64-bit VM masks");
+    }
+    if (candidate.size() != vms) {
+        throw std::invalid_argument(
+            "FleetState: one candidate flag per VM required");
+    }
     assert(windowSlots_ == 0 &&
            "FleetState: addServer after beginWindow");
 

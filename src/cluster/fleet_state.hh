@@ -65,6 +65,8 @@ class FleetState
      * samples will arrive through the window buffers, and
      * @p candidate flagging which VMs ever request overclocking.
      * Servers must be added in rack order, before setHorizon().
+     * Throws std::invalid_argument for more than kMaxVmsPerServer
+     * VMs or a @p candidate that is not @p vms long.
      */
     void addServer(std::size_t vms,
                    const std::vector<bool> &candidate);

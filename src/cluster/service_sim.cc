@@ -409,7 +409,7 @@ runServiceSim(const ServiceSimConfig &config)
     std::uint64_t eval_windows_missed = 0;
 
     // Fault bookkeeping: merged crash schedule over both racks
-    // (node index order) and the in-flight budget pushes per gOA.
+    // (node index order).
     std::vector<std::pair<sim::Tick, int>> crash_schedule;
     for (const auto &event : plans[0].crashes()) {
         if (event.server < rack1_servers)
@@ -423,8 +423,6 @@ runServiceSim(const ServiceSimConfig &config)
     }
     std::sort(crash_schedule.begin(), crash_schedule.end());
     std::size_t next_crash = 0;
-    std::array<std::vector<core::PendingAssignment>, 2> in_flight;
-    std::array<std::size_t, 2> next_delivery{};
 
     simulator.every(config.controlPeriod, [&](sim::Tick now) {
         const bool in_eval = now >= config.warmup;
@@ -439,16 +437,8 @@ runServiceSim(const ServiceSimConfig &config)
         }
 
         // Deliver budget pushes whose flight time is up.
-        for (int r = 0; r < 2; ++r) {
-            auto &queue = in_flight[r];
-            auto &cursor = next_delivery[r];
-            auto &goa = r == 0 ? goa1 : goa2;
-            while (cursor < queue.size() &&
-                   queue[cursor].deliverAt <= now) {
-                goa.deliver(queue[cursor], now);
-                ++cursor;
-            }
-        }
+        goa1.deliverDue(now);
+        goa2.deliverDue(now);
 
         // Offered load follows the phase profile.
         const double phase =
@@ -631,8 +621,7 @@ runServiceSim(const ServiceSimConfig &config)
     // one row buffer serves every recompute.
     std::vector<double> usable_row;
     auto run_goa = [&](core::GlobalOverclockingAgent &goa,
-                       const sim::FaultPlan &plan, int rack_idx,
-                       sim::Tick now) {
+                       const sim::FaultPlan &plan, sim::Tick now) {
         usable_row.assign(
             static_cast<std::size_t>(sim::kSlotsPerWeek),
             goa.usableWatts().count());
@@ -648,41 +637,15 @@ runServiceSim(const ServiceSimConfig &config)
             ++result.faults.recomputesSkipped;
             return;
         }
-        core::RecomputeFaults rf;
-        rf.telemetryAttempts = config.faults.telemetryAttempts;
-        rf.telemetryLost = [&plan, now](int server, int attempt) {
-            return plan.telemetryLost(server, now, attempt);
-        };
-        rf.budgetLost = [&plan, now](int server) {
-            return plan.budgetLost(server, now);
-        };
-        rf.budgetDelay = [&plan, now](int server) {
-            return plan.budgetDelay(server, now);
-        };
-        rf.budgetCorrupt = [&plan, now](int server) {
-            return plan.budgetCorrupted(server, now)
-                ? plan.corruptionKind(server, now)
-                : -1;
-        };
+        const auto rf = core::RecomputeFaults::at(plan, now);
         goa.pullProfiles(rf);
-        auto batch = goa.recomputeWithBudget(now, usable_row, rf);
-        auto &queue = in_flight[rack_idx];
-        for (auto &pending : batch)
-            queue.push_back(std::move(pending));
-        std::stable_sort(
-            queue.begin() + static_cast<std::ptrdiff_t>(
-                                next_delivery[rack_idx]),
-            queue.end(),
-            [](const core::PendingAssignment &a,
-               const core::PendingAssignment &b) {
-                return a.deliverAt < b.deliverAt;
-            });
+        goa.recomputeWithBudget(now, usable_row, rf);
     };
 
     simulator.every(config.goaPeriod, [&](sim::Tick now) {
-        run_goa(goa1, plans[0], 0, now);
+        run_goa(goa1, plans[0], now);
         if (config.spareServers > 0)
-            run_goa(goa2, plans[1], 1, now);
+            run_goa(goa2, plans[1], now);
     });
 
     simulator.runUntil(config.duration);
@@ -757,14 +720,8 @@ runServiceSim(const ServiceSimConfig &config)
     result.capEvents = manager1.stats().capEvents +
         manager2.stats().capEvents;
     if (config.faults.enabled) {
-        for (const auto *goa : {&goa1, &goa2}) {
-            const core::GoaStats &gs = goa->stats();
-            result.faults.telemetryRetries += gs.telemetryRetries;
-            result.faults.telemetryDrops += gs.staleProfiles;
-            result.faults.budgetDrops += gs.assignmentsDropped;
-            result.faults.budgetDelays += gs.assignmentsDelayed;
-            result.faults.budgetRejects += gs.assignmentsRejected;
-        }
+        result.faults.merge(goa1.stats());
+        result.faults.merge(goa2.stats());
         for (const auto &plan : plans) {
             for (const auto &outage : plan.outages())
                 if (outage.start < config.duration)

@@ -51,6 +51,10 @@ TraceSimConfig::validate() const
         fail("serversPerRack must be >= 1 (got " +
              std::to_string(serversPerRack) + ")");
     }
+    if (hardware.cores < 1) {
+        fail("hardware.cores must be >= 1 (got " +
+             std::to_string(hardware.cores) + ")");
+    }
     if (!(limitFactor > 0.0)) {
         fail("limitFactor must be > 0 (got " +
              std::to_string(limitFactor) + ")");
@@ -268,10 +272,6 @@ class RackRuntime
     std::uint64_t warnBase_ = 0;
     std::uint64_t reqBase_ = 0;
     std::size_t nextCrash_ = 0;
-    /** Budget pushes in flight (delayed deliveries), sorted by
-     *  deliverAt from nextDelivery_ on. */
-    std::vector<core::PendingAssignment> inFlight_;
-    std::size_t nextDelivery_ = 0;
     /** First recompute time missed to the current outage (-1 when
      *  the gOA is reachable). */
     sim::Tick outageFirstMissed_ = -1;
@@ -551,39 +551,11 @@ RackRuntime::maybeRecompute(sim::Tick t)
         goa_->pullProfiles();
         goa_->recomputeWithBudget(t, ownRow_);
     } else {
-        // Telemetry faults during the pull; budget pushes queued
-        // (possibly delayed/corrupted) instead of applied.
-        const sim::FaultPlan &plan = plan_;
-        core::RecomputeFaults rf;
-        rf.telemetryAttempts = config_.faults.telemetryAttempts;
-        rf.telemetryLost = [&plan, t](int server, int attempt) {
-            return plan.telemetryLost(server, t, attempt);
-        };
-        rf.budgetLost = [&plan, t](int server) {
-            return plan.budgetLost(server, t);
-        };
-        rf.budgetDelay = [&plan, t](int server) {
-            return plan.budgetDelay(server, t);
-        };
-        rf.budgetCorrupt = [&plan, t](int server) {
-            return plan.budgetCorrupted(server, t)
-                ? plan.corruptionKind(server, t)
-                : -1;
-        };
+        // Telemetry faults during the pull; the gOA queues the
+        // pushes (maybe lost, delayed or corrupted) for deliverDue.
+        const auto rf = core::RecomputeFaults::at(plan_, t);
         goa_->pullProfiles(rf);
-        auto batch = goa_->recomputeWithBudget(t, ownRow_, rf);
-        // Recompute-rate queue growth (weekly, not per-step):
-        // soclint:allow(PERF-001)
-        for (auto &pending : batch)
-            inFlight_.push_back(std::move(pending));
-        std::stable_sort(
-            inFlight_.begin() +
-                static_cast<std::ptrdiff_t>(nextDelivery_),
-            inFlight_.end(),
-            [](const core::PendingAssignment &a,
-               const core::PendingAssignment &b) {
-                return a.deliverAt < b.deliverAt;
-            });
+        goa_->recomputeWithBudget(t, ownRow_, rf);
     }
     if (outageFirstMissed_ >= 0) {
         out_.recoverySum += t - outageFirstMissed_;
@@ -602,11 +574,7 @@ RackRuntime::stepMain(sim::Tick t)
     // and amortize per streamWindow, inside ensureSlot.
 
     // Deliver queued budget pushes whose flight time is up.
-    while (nextDelivery_ < inFlight_.size() &&
-           inFlight_[nextDelivery_].deliverAt <= t) {
-        goa_->deliver(inFlight_[nextDelivery_], t);
-        ++nextDelivery_;
-    }
+    goa_->deliverDue(t);
 
     // A crashed sOA has recovered once it holds a budget accepted
     // after the crash.
@@ -637,84 +605,90 @@ RackRuntime::stepMain(sim::Tick t)
     }
 
     const bool in_eval = t >= config_.warmup;
-    if (ingress_) {
-        // Ingress path (DESIGN.md §12), three phases per step.
-        //
-        // Phase 1 — serialize: forge this step's storm frames and
-        // the legitimate want/stop transitions as wire messages,
-        // offering each to the bounded queue.  active_mask is
-        // updated at *offer* time, which keeps it the documented
-        // conservative superset: if a start hint is dropped, the VM
-        // still wants next step and re-offers; a stale bit is
-        // cleared by the !active branch.
-        for (std::size_t s = 0; s < soas_.size(); ++s) {
-            power::Server &server = rack_->server(s);
-            auto &soa = *soas_[s];
-            const auto &mix = mixes_[s];
-            if (storm_.enabled()) {
-                storm_.generate(
-                    static_cast<int>(s), t,
-                    [&](const core::wire::Frame &frame) {
-                        ingress_->offer(frame, t);
-                    });
-            }
-            const std::uint64_t want_mask = fleet_->wantMask(s);
-            std::uint64_t pending = want_mask | activeMask_[s];
-            while (pending != 0) {
-                const int v = std::countr_zero(pending);
-                pending &= pending - 1;
-                const auto bit = std::uint64_t{1} << v;
-                const power::GroupId g =
-                    groups_[s][static_cast<std::size_t>(v)];
-                const bool want = (want_mask & bit) != 0;
-                const bool active = soa.isOverclockActive(g);
+    // One walk per server over the VMs that want to overclock this
+    // slot or may still hold a grant (activeMask_ is a conservative
+    // superset: set when a start is issued, cleared once a processed
+    // VM is inactive; a dropped ingress start is re-issued next
+    // step).  A transition goes straight to the sOA, and sOA s ticks
+    // right after its own VMs because Central's oracle admission
+    // reads rack power; or, through the ingress (DESIGN.md §12), as
+    // a wire frame next to this step's storm frames, and every sOA
+    // ticks after one batched drain.
+    core::HintIngress *const ingress = ingress_.get();
+    for (std::size_t s = 0; s < soas_.size(); ++s) {
+        power::Server &server = rack_->server(s);
+        auto &soa = *soas_[s];
+        if (storm_.enabled()) {
+            storm_.generate(static_cast<int>(s), t,
+                            [&](const core::wire::Frame &frame) {
+                                ingress->offer(frame, t);
+                            });
+        }
+        const std::uint64_t want_mask = fleet_->wantMask(s);
+        std::uint64_t pending = want_mask | activeMask_[s];
+        while (pending != 0) {
+            const int v = std::countr_zero(pending);
+            pending &= pending - 1;
+            const auto bit = std::uint64_t{1} << v;
+            const auto vi = static_cast<std::size_t>(v);
+            const power::GroupId g = groups_[s][vi];
+            const bool want = (want_mask & bit) != 0;
+            const bool active = soa.isOverclockActive(g);
+            // Wire header of this VM's next hint (ingress only).
+            const auto header = [&] {
                 core::wire::HintHeader hdr;
                 hdr.server = static_cast<int>(s);
                 hdr.vmId = g;
+                hdr.seq = seq_[s][vi]++;
                 hdr.issuedAt = t;
-                if (want && !active) {
-                    hdr.seq =
-                        seq_[s][static_cast<std::size_t>(v)]++;
-                    core::OverclockRequest request;
-                    request.groupId = g;
-                    request.cores =
-                        mix[static_cast<std::size_t>(v)].cores;
-                    request.trigger = core::TriggerKind::Metrics;
-                    request.duration = config_.requestChunk;
-                    request.priority = 1;
-                    ingress_->offer(
-                        core::wire::encodeOverclockRequest(hdr,
-                                                           request),
-                        t);
-                    activeMask_[s] |= bit;
-                } else if (!want && active) {
-                    hdr.seq =
-                        seq_[s][static_cast<std::size_t>(v)]++;
-                    ingress_->offer(
-                        core::wire::encodeStopRequest(hdr), t);
-                    activeMask_[s] &= ~bit;
-                } else if (!active) {
-                    activeMask_[s] &= ~bit;
+                return hdr;
+            };
+            if (want && !active) {
+                core::OverclockRequest request;
+                request.groupId = g;
+                request.cores = mixes_[s][vi].cores;
+                request.trigger = core::TriggerKind::Metrics;
+                request.duration = config_.requestChunk;
+                request.priority = 1;
+                if (ingress != nullptr) {
+                    ingress->offer(core::wire::encodeOverclockRequest(
+                                       header(), request),
+                                   t);
+                } else {
+                    soa.requestOverclock(request, t);
                 }
+                activeMask_[s] |= bit;
+            } else if (!want && active) {
+                if (ingress != nullptr)
+                    ingress->offer(
+                        core::wire::encodeStopRequest(header()), t);
+                else
+                    soa.stopOverclock(g, t);
+                activeMask_[s] &= ~bit;
+            } else if (!active) {
+                activeMask_[s] &= ~bit;
+            }
 
-                if (in_eval && want) {
-                    ++out_.wantSteps;
-                    const auto *group = server.group(g);
-                    const power::FreqMHz eff = group != nullptr
-                        ? group->effectiveMHz()
-                        : power::kTurboMHz;
-                    out_.perf.add(eff / power::kTurboMHz);
-                    if (group != nullptr && group->overclocked())
-                        ++out_.successSteps;
-                }
+            if (in_eval && want) {
+                ++out_.wantSteps;
+                const auto *group = server.group(g);
+                const power::FreqMHz eff = group != nullptr
+                    ? group->effectiveMHz()
+                    : power::kTurboMHz;
+                out_.perf.add(eff / power::kTurboMHz);
+                if (group != nullptr && group->overclocked())
+                    ++out_.successSteps;
             }
         }
+        if (ingress == nullptr)
+            soa.tick(t);
+    }
 
-        // Phase 2 — one batched drain dispatches the surviving
-        // hints into the agents.  The sink bounds-checks the
-        // addressed server/group (a forged frame may name
-        // anything); hints it cannot place are sink drops.
-        ingress_->drain(
+    if (ingress != nullptr) {
+        // The sink bounds-checks the addressed server/group (a
+        // forged frame may name anything); hints it cannot place
+        // are sink drops.
+        ingress->drain(
             t, [&](const core::wire::ParsedHint &hint) {
                 if (hint.server < 0 ||
                     hint.server >= static_cast<int>(soas_.size()))
@@ -745,62 +719,8 @@ RackRuntime::stepMain(sim::Tick t)
                     return false;
                 }
             });
-
-        // Phase 3 — control ticks run after the drain so every sOA
-        // sees this step's surviving hints.
         for (auto &soa : soas_)
             soa->tick(t);
-    } else
-    for (std::size_t s = 0; s < soas_.size(); ++s) {
-        power::Server &server = rack_->server(s);
-        auto &soa = *soas_[s];
-        const auto &mix = mixes_[s];
-        // Only VMs that want to overclock this slot, or that may
-        // still hold an active grant, need per-step processing; for
-        // everyone else the old per-VM walk was a no-op.
-        // active_mask is a conservative superset of the truly
-        // active grants (bits are set on request, cleared when a
-        // processed VM turns out inactive), so no grant can be
-        // missed by the union.
-        const std::uint64_t want_mask = fleet_->wantMask(s);
-        std::uint64_t pending = want_mask | activeMask_[s];
-        while (pending != 0) {
-            const int v = std::countr_zero(pending);
-            pending &= pending - 1;
-            const auto bit = std::uint64_t{1} << v;
-            const power::GroupId g =
-                groups_[s][static_cast<std::size_t>(v)];
-            const bool want = (want_mask & bit) != 0;
-            const bool active = soa.isOverclockActive(g);
-            if (want && !active) {
-                core::OverclockRequest request;
-                request.groupId = g;
-                request.cores =
-                    mix[static_cast<std::size_t>(v)].cores;
-                request.trigger = core::TriggerKind::Metrics;
-                request.duration = config_.requestChunk;
-                request.priority = 1;
-                soa.requestOverclock(request, t);
-                activeMask_[s] |= bit;
-            } else if (!want && active) {
-                soa.stopOverclock(g, t);
-                activeMask_[s] &= ~bit;
-            } else if (!active) {
-                activeMask_[s] &= ~bit;
-            }
-
-            if (in_eval && want) {
-                ++out_.wantSteps;
-                const auto *group = server.group(g);
-                const power::FreqMHz eff = group != nullptr
-                    ? group->effectiveMHz()
-                    : power::kTurboMHz;
-                out_.perf.add(eff / power::kTurboMHz);
-                if (group != nullptr && group->overclocked())
-                    ++out_.successSteps;
-            }
-        }
-        soa.tick(t);
     }
     const std::uint64_t cap_before = manager_->stats().capEvents;
     manager_->tick(t);
@@ -904,12 +824,7 @@ RackRuntime::finish()
     out_.requests = requests - reqBase_;
 
     if (plan_.enabled()) {
-        const core::GoaStats &goa_stats = goa_->stats();
-        out_.faults.telemetryRetries = goa_stats.telemetryRetries;
-        out_.faults.telemetryDrops = goa_stats.staleProfiles;
-        out_.faults.budgetDrops = goa_stats.assignmentsDropped;
-        out_.faults.budgetDelays = goa_stats.assignmentsDelayed;
-        out_.faults.budgetRejects = goa_stats.assignmentsRejected;
+        out_.faults.merge(goa_->stats());
         for (const auto &outage : plan_.outages())
             if (outage.start < end_)
                 ++out_.faults.goaOutages;

@@ -1,5 +1,6 @@
 #include "core/goa.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -17,6 +18,28 @@ GlobalOverclockingAgent::GlobalOverclockingAgent(
       config_(config),
       allocator_(model, config.budget)
 {
+}
+
+RecomputeFaults
+RecomputeFaults::at(const sim::FaultPlan &plan, sim::Tick now)
+{
+    RecomputeFaults rf;
+    rf.telemetryAttempts = plan.config().telemetryAttempts;
+    rf.telemetryLost = [&plan, now](int server, int attempt) {
+        return plan.telemetryLost(server, now, attempt);
+    };
+    rf.budgetLost = [&plan, now](int server) {
+        return plan.budgetLost(server, now);
+    };
+    rf.budgetDelay = [&plan, now](int server) {
+        return plan.budgetDelay(server, now);
+    };
+    rf.budgetCorrupt = [&plan, now](int server) {
+        return plan.budgetCorrupted(server, now)
+            ? plan.corruptionKind(server, now)
+            : -1;
+    };
+    return rf;
 }
 
 void
@@ -87,11 +110,11 @@ GlobalOverclockingAgent::pullProfiles(const RecomputeFaults &faults)
         } else if (lastProfileValid_[i]) {
             // Unreachable server: budget from its last known
             // profile rather than nothing (§III-Q5 degraded mode).
-            ++stats_.staleProfiles;
+            ++stats_.telemetryDrops;
         } else {
             // Never heard from this server at all; assume an idle
             // profile so the split stays conservative for it.
-            ++stats_.staleProfiles;
+            ++stats_.telemetryDrops;
             lastProfiles_[i] = ServerProfile{};
         }
     }
@@ -134,39 +157,36 @@ GlobalOverclockingAgent::recomputeWithBudget(
     sim::Tick now, const std::vector<double> &usablePerSlot)
 {
     splitPulled(usablePerSlot);
-    // Perfect network: apply each assignment directly through one
-    // reused payload instead of materializing a pending batch.
+    // Perfect network: apply each assignment on the spot through
+    // one reused payload; nothing is queued.
     for (std::size_t i = 0; i < agents_.size(); ++i) {
         fillAssignment(assignScratch_, i, now);
         if (!agents_[i]->assignBudget(assignScratch_, now))
-            ++stats_.assignmentsRejected;
+            ++stats_.budgetRejects;
     }
 }
 
-std::vector<PendingAssignment>
+void
 GlobalOverclockingAgent::recomputeWithBudget(
     sim::Tick now, const std::vector<double> &usablePerSlot,
     const RecomputeFaults &faults)
 {
     splitPulled(usablePerSlot);
-    std::vector<PendingAssignment> pending;
-    pending.reserve(agents_.size());
     for (std::size_t i = 0; i < agents_.size(); ++i) {
         const int server = static_cast<int>(i);
         if (faults.budgetLost && faults.budgetLost(server)) {
-            ++stats_.assignmentsDropped;
+            ++stats_.budgetDrops;
             continue;
         }
         PendingAssignment out;
-        out.agent = agents_[i];
-        out.serverIndex = server;
+        out.server = i;
         out.deliverAt = now;
         if (faults.budgetDelay) {
             const sim::Tick delay =
                 std::max<sim::Tick>(0, faults.budgetDelay(server));
             if (delay > 0) {
                 out.deliverAt += delay;
-                ++stats_.assignmentsDelayed;
+                ++stats_.budgetDelays;
             }
         }
         fillAssignment(out.assignment, i, now);
@@ -187,9 +207,31 @@ GlobalOverclockingAgent::recomputeWithBudget(
                 break;
             }
         }
-        pending.push_back(std::move(out));
+        inFlight_.push_back(std::move(out));
     }
-    return pending;
+    // Stable: a push arriving with an earlier one lands after it.
+    std::stable_sort(
+        inFlight_.begin() + static_cast<std::ptrdiff_t>(nextDelivery_),
+        inFlight_.end(),
+        [](const PendingAssignment &a, const PendingAssignment &b) {
+            return a.deliverAt < b.deliverAt;
+        });
+}
+
+void
+GlobalOverclockingAgent::deliverDue(sim::Tick now)
+{
+    while (nextDelivery_ < inFlight_.size() &&
+           inFlight_[nextDelivery_].deliverAt <= now) {
+        const PendingAssignment &pending = inFlight_[nextDelivery_++];
+        if (!agents_[pending.server]->assignBudget(pending.assignment,
+                                                   now))
+            ++stats_.budgetRejects;
+    }
+    if (nextDelivery_ == inFlight_.size()) {
+        inFlight_.clear();
+        nextDelivery_ = 0;
+    }
 }
 
 void
@@ -201,17 +243,6 @@ GlobalOverclockingAgent::releaseProfiles()
     // pullProfiles resizes both in lockstep.
     lastProfileValid_.clear();
     lastProfileValid_.shrink_to_fit();
-}
-
-bool
-GlobalOverclockingAgent::deliver(const PendingAssignment &pending,
-                                 sim::Tick now)
-{
-    const bool accepted =
-        pending.agent->assignBudget(pending.assignment, now);
-    if (!accepted)
-        ++stats_.assignmentsRejected;
-    return accepted;
 }
 
 } // namespace core

@@ -15,13 +15,13 @@
  * own usableWatts() or the share a BudgetHierarchy handed down.
  *
  * Messages between the gOA and its sOAs traverse a real network.
- * Under fault injection the push phase returns a batch of
- * PendingAssignment deliveries (each with a delivery time), and
- * deliver() applies one to its sOA; the fault-injection harness
- * drops, delays and corrupts deliveries before they get there.
- * Telemetry pulls retry a bounded number of times and fall back to
- * the profile cached from the previous pull when a server stays
- * unreachable.
+ * Under fault injection (RecomputeFaults) pushes can be lost,
+ * delayed or corrupted: the gOA queues each push with its arrival
+ * time, and deliverDue() hands the arrivals to their sOAs once per
+ * control step.  Telemetry pulls retry a bounded number of times and
+ * fall back to the profile cached from the previous pull when a
+ * server stays unreachable.  Every injected fault is counted in
+ * stats().
  */
 
 #ifndef SOC_CORE_GOA_HH
@@ -34,6 +34,7 @@
 #include "core/budget_allocator.hh"
 #include "core/soa.hh"
 #include "power/rack.hh"
+#include "sim/fault_injector.hh"
 
 namespace soc
 {
@@ -58,21 +59,6 @@ struct GoaConfig {
     BudgetConfig budget;
 };
 
-/** gOA-side fault/robustness counters. */
-struct GoaStats {
-    /** Telemetry pull attempts that failed (per retry). */
-    std::uint64_t telemetryRetries = 0;
-    /** Recomputes where a server's profile came from the cache
-     *  because every pull attempt failed. */
-    std::uint64_t staleProfiles = 0;
-    /** Budget assignments lost in flight (never delivered). */
-    std::uint64_t assignmentsDropped = 0;
-    /** Budget assignments delivered late. */
-    std::uint64_t assignmentsDelayed = 0;
-    /** Deliveries the receiving sOA rejected as invalid. */
-    std::uint64_t assignmentsRejected = 0;
-};
-
 /**
  * Fault hooks threaded through one recompute.  All hooks are
  * optional; a default-constructed instance is a perfect network.
@@ -95,15 +81,15 @@ struct RecomputeFaults {
      * limit) the receiving sOA's validation must catch.
      */
     std::function<int(int server)> budgetCorrupt;
-};
 
-/** One budget push in flight from the gOA to an sOA. */
-struct PendingAssignment {
-    ServerOverclockingAgent *agent = nullptr;
-    int serverIndex = -1;
-    /** Simulated arrival time (>= issue time when delayed). */
-    sim::Tick deliverAt = 0;
-    BudgetAssignment assignment;
+    /**
+     * The hooks @p plan injects into a recompute at @p now: the one
+     * builder both cluster simulators use.  The hooks capture
+     * @p plan by reference, so it must outlive every call they are
+     * passed to.
+     */
+    static RecomputeFaults at(const sim::FaultPlan &plan,
+                              sim::Tick now);
 };
 
 /**
@@ -117,7 +103,8 @@ class GlobalOverclockingAgent
                             GoaConfig config = {});
 
     const GoaConfig &config() const { return config_; }
-    const GoaStats &stats() const { return stats_; }
+    /** Faults this gOA saw (the FaultStats fields marked [gOA]). */
+    const sim::FaultStats &stats() const { return stats_; }
 
     /**
      * Register a managed sOA.  Agents must be registered in the
@@ -166,7 +153,7 @@ class GlobalOverclockingAgent
      * faults.telemetryLost with bounded retry; a server that stays
      * unreachable keeps the profile cached from its last successful
      * pull (an idle profile if there was none), counted in
-     * stats().staleProfiles.  Returns the cached profiles, so a
+     * stats().telemetryDrops.  Returns the cached profiles, so a
      * hierarchical tier (core::BudgetHierarchy) can aggregate them
      * before deciding the rack's budget.
      */
@@ -181,11 +168,10 @@ class GlobalOverclockingAgent
      * by pullProfiles(), and apply each sOA's budget (which also
      * refreshes its own template).  Counts as one recompute.  The
      * steady-state hot path: the split reuses scratch buffers and
-     * no PendingAssignment is materialized, so it is
-     * allocation-free once the buffers are warm.  Throws
-     * std::logic_error when the gOA does not hold one pulled
-     * profile per sOA (no pull yet, or releaseProfiles() since),
-     * and std::invalid_argument for a row that is not
+     * no push is queued, so it is allocation-free once the buffers
+     * are warm.  Throws std::logic_error when the gOA does not hold
+     * one pulled profile per sOA (no pull yet, or releaseProfiles()
+     * since), and std::invalid_argument for a row that is not
      * sim::kSlotsPerWeek long; either throw leaves every budget and
      * counter unchanged.
      */
@@ -193,18 +179,25 @@ class GlobalOverclockingAgent
                              const std::vector<double> &usablePerSlot);
 
     /**
-     * Fault-aware second phase: the same split, but the budget
-     * pushes are returned as PendingAssignment batches instead of
-     * being applied.  Lost pushes are omitted (counted in stats),
-     * delayed pushes carry a later deliverAt, and corrupted pushes
-     * carry a poisoned payload for the sOA's validation to reject.
-     * The caller (simulator) applies each entry with deliver() at
-     * its deliverAt time.  Throws like the two-argument form.
+     * Fault-aware second phase: the same split, but every push goes
+     * through @p faults and into the gOA's queue instead of being
+     * applied.  Lost pushes are never queued, delayed pushes arrive
+     * later, and corrupted pushes carry a poisoned payload for the
+     * sOA's validation to reject (all counted in stats()).  On-time
+     * pushes are queued too: deliverDue(now) applies them.  Throws
+     * like the two-argument form.
      */
-    std::vector<PendingAssignment>
-    recomputeWithBudget(sim::Tick now,
-                        const std::vector<double> &usablePerSlot,
-                        const RecomputeFaults &faults);
+    void recomputeWithBudget(sim::Tick now,
+                             const std::vector<double> &usablePerSlot,
+                             const RecomputeFaults &faults);
+
+    /**
+     * Apply every queued push that has arrived by @p now, in arrival
+     * order; pushes arriving on the same tick land in issue order,
+     * so a later recompute's budget and lease win over an earlier
+     * delayed one.  Rejections count in stats().budgetRejects.
+     */
+    void deliverDue(sim::Tick now);
 
     /**
      * Drop the cached profile storage (fleet-scale footprint trim
@@ -213,13 +206,6 @@ class GlobalOverclockingAgent
      * next pull repopulates everything.
      */
     void releaseProfiles();
-
-    /**
-     * Apply one pending assignment to its sOA at @p now.
-     * @return true when the sOA accepted it (rejections are counted
-     * in stats().assignmentsRejected).
-     */
-    bool deliver(const PendingAssignment &pending, sim::Tick now);
 
     /** Budgets from the last recompute (empty before the first). */
     const std::vector<ProfileTemplate> &lastBudgets() const
@@ -230,6 +216,14 @@ class GlobalOverclockingAgent
     std::uint64_t recomputeCount() const { return recomputes_; }
 
   private:
+    /** One budget push in flight to sOA agents_[server]. */
+    struct PendingAssignment {
+        std::size_t server = 0;
+        /** Simulated arrival time (>= issue time when delayed). */
+        sim::Tick deliverAt = 0;
+        BudgetAssignment assignment;
+    };
+
     /** Split @p usablePerSlot over the pulled profiles into
      *  lastBudgets_ and count the recompute (throws as documented
      *  on recomputeWithBudget). */
@@ -253,8 +247,12 @@ class GlobalOverclockingAgent
     BudgetAllocator::SplitScratch splitScratch_;
     /** Reused assignment payload for the perfect-network path. */
     BudgetAssignment assignScratch_;
+    /** Queued pushes, sorted by deliverAt from nextDelivery_ on;
+     *  emptied once every entry has been delivered. */
+    std::vector<PendingAssignment> inFlight_;
+    std::size_t nextDelivery_ = 0;
     std::uint64_t recomputes_ = 0;
-    GoaStats stats_;
+    sim::FaultStats stats_;
 };
 
 } // namespace core

@@ -100,16 +100,29 @@ struct SoaCrashEvent {
 /**
  * Counters of injected faults and their observed handling; per-rack
  * instances are merged in rack order (see RackOutcome), keeping the
- * totals thread-count independent.
+ * totals thread-count independent.  Fields marked [gOA] are counted
+ * by core::GlobalOverclockingAgent::stats(), the rest by the
+ * simulators.
  */
 struct FaultStats {
+    /** gOA outage episodes starting inside the run. */
     std::uint64_t goaOutages = 0;
+    /** Recomputes missed to outages: the trace sim counts each
+     *  control step it retries during an outage, the service sim
+     *  each missed goaPeriod. */
     std::uint64_t recomputesSkipped = 0;
+    /** sOA crash-restarts applied. */
     std::uint64_t soaCrashes = 0;
+    /** [gOA] Pulls that fell back to a server's cached profile
+     *  because every attempt failed. */
     std::uint64_t telemetryDrops = 0;
+    /** [gOA] Failed telemetry pull attempts. */
     std::uint64_t telemetryRetries = 0;
+    /** [gOA] Budget pushes lost in flight. */
     std::uint64_t budgetDrops = 0;
+    /** [gOA] Budget pushes delivered late. */
     std::uint64_t budgetDelays = 0;
+    /** [gOA] Budget pushes the receiving sOA rejected as invalid. */
     std::uint64_t budgetRejects = 0;
 
     /** Total discrete fault events injected. */

@@ -185,6 +185,11 @@ TEST(ChaosServiceSim, SurvivesCrashRestartStorm)
     const auto result = runServiceSim(cfg);
     EXPECT_GT(result.faults.soaCrashes, 0u);
     EXPECT_GT(result.faults.total(), 0u);
+    // The gOA-side counters reach the result too.
+    EXPECT_GT(result.faults.telemetryRetries, 0u);
+    EXPECT_GT(result.faults.budgetDrops, 0u);
+    EXPECT_GT(result.faults.budgetDelays, 0u);
+    EXPECT_GT(result.faults.budgetRejects, 0u);
     // The cluster still serves traffic end to end.
     EXPECT_GT(result.byClass[0].completed, 0u);
     EXPECT_GT(result.totalEnergyJ, soc::power::Joules{0.0});
@@ -209,7 +214,10 @@ TEST(ChaosServiceSim, DeterministicUnderFaults)
     EXPECT_EQ(a.overclockStarts, b.overclockStarts);
     EXPECT_EQ(a.totalEnergyJ, b.totalEnergyJ);
     EXPECT_EQ(a.faults.soaCrashes, b.faults.soaCrashes);
+    EXPECT_EQ(a.faults.telemetryRetries, b.faults.telemetryRetries);
+    EXPECT_EQ(a.faults.telemetryDrops, b.faults.telemetryDrops);
     EXPECT_EQ(a.faults.budgetDrops, b.faults.budgetDrops);
+    EXPECT_EQ(a.faults.budgetDelays, b.faults.budgetDelays);
     EXPECT_EQ(a.faults.budgetRejects, b.faults.budgetRejects);
 }
 

@@ -401,13 +401,14 @@ recomputeOwnRow(GlobalOverclockingAgent &goa, Tick now)
     goa.recomputeWithBudget(now, ownRow(goa));
 }
 
-/** Fault-aware recompute over the rack's own limit. */
-std::vector<PendingAssignment>
+/** Fault-aware recompute over the rack's own limit; the pushes
+ *  wait in the gOA's queue for deliverDue. */
+void
 recomputeOwnRow(GlobalOverclockingAgent &goa, Tick now,
                 const RecomputeFaults &faults)
 {
     goa.pullProfiles(faults);
-    return goa.recomputeWithBudget(now, ownRow(goa), faults);
+    goa.recomputeWithBudget(now, ownRow(goa), faults);
 }
 
 } // namespace
@@ -426,7 +427,7 @@ TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
     // server 0's pulled profile.
     tick_both(0, kHour + sim::kSlot);
     recomputeOwnRow(*fx.goa, kHour);
-    ASSERT_EQ(fx.goa->stats().staleProfiles, 0u);
+    ASSERT_EQ(fx.goa->stats().telemetryDrops, 0u);
     ServerProfile stale0;
     fx.a0->readProfile(stale0, fx.goa->config().strategy);
 
@@ -441,15 +442,16 @@ TEST(GoaFaults, TelemetryRetriesThenFallsBackToCache)
     RecomputeFaults rf;
     rf.telemetryAttempts = 3;
     rf.telemetryLost = [](int server, int) { return server == 0; };
-    const auto batch = recomputeOwnRow(*fx.goa, 3 * kHour, rf);
+    recomputeOwnRow(*fx.goa, 3 * kHour, rf);
+    fx.goa->deliverDue(3 * kHour);
 
     // Server 0 failed all three pulls; its budget was computed from
     // the cached profile, and it still receives an assignment.
     EXPECT_EQ(fx.goa->stats().telemetryRetries, 3u);
-    EXPECT_EQ(fx.goa->stats().staleProfiles, 1u);
-    ASSERT_EQ(batch.size(), 2u);
-    for (const auto &pending : batch)
-        EXPECT_TRUE(fx.goa->deliver(pending, 3 * kHour));
+    EXPECT_EQ(fx.goa->stats().telemetryDrops, 1u);
+    EXPECT_EQ(fx.a0->lastAssignmentAt(), 3 * kHour);
+    EXPECT_EQ(fx.a1->lastAssignmentAt(), 3 * kHour);
+    EXPECT_EQ(fx.goa->stats().budgetRejects, 0u);
 
     // The split saw server 0's profile from the first pull, never
     // overwritten by the failed one, next to server 1's fresh one.
@@ -476,13 +478,40 @@ TEST(GoaFaults, DropsAndDelaysBudgetPushes)
     rf.budgetDelay = [](int server) {
         return server == 1 ? kMinute : Tick{0};
     };
-    const auto batch = recomputeOwnRow(*fx.goa, 0, rf);
+    recomputeOwnRow(*fx.goa, 0, rf);
+    EXPECT_EQ(fx.goa->stats().budgetDrops, 1u);
+    EXPECT_EQ(fx.goa->stats().budgetDelays, 1u);
 
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].serverIndex, 1);
-    EXPECT_EQ(batch[0].deliverAt, kMinute);
-    EXPECT_EQ(fx.goa->stats().assignmentsDropped, 1u);
-    EXPECT_EQ(fx.goa->stats().assignmentsDelayed, 1u);
+    // Server 1's push is a minute in flight; server 0's never lands.
+    fx.goa->deliverDue(0);
+    fx.goa->deliverDue(kMinute - 1);
+    EXPECT_EQ(fx.a1->lastAssignmentAt(), -1);
+    fx.goa->deliverDue(kMinute);
+    EXPECT_EQ(fx.a1->lastAssignmentAt(), kMinute);
+    fx.goa->deliverDue(kHour);
+    EXPECT_EQ(fx.a0->lastAssignmentAt(), -1);
+    EXPECT_EQ(fx.a0->stats().budgetAssignments, 0u);
+}
+
+TEST(GoaFaults, PushesArrivingTogetherLandInIssueOrder)
+{
+    GoaConfig goa_cfg;
+    goa_cfg.leaseTtl = kHour;
+    GoaFixture fx(goa_cfg);
+    // The pushes issued at 0 spend a minute in flight and arrive on
+    // the tick the next recompute's on-time pushes land.
+    RecomputeFaults delayed;
+    delayed.budgetDelay = [](int) { return kMinute; };
+    recomputeOwnRow(*fx.goa, 0, delayed);
+    fx.goa->deliverDue(0);
+    recomputeOwnRow(*fx.goa, kMinute, RecomputeFaults{});
+    fx.goa->deliverDue(kMinute);
+
+    // Both landed, the earlier one first: the later lease survives.
+    EXPECT_EQ(fx.a0->stats().budgetAssignments, 2u);
+    EXPECT_EQ(fx.a0->lastAssignmentAt(), kMinute);
+    EXPECT_FALSE(fx.a0->leaseStale(kHour + 1));
+    EXPECT_TRUE(fx.a0->leaseStale(kHour + kMinute + 1));
 }
 
 TEST(GoaFaults, CorruptedPushIsRejectedByTheSoa)
@@ -491,16 +520,14 @@ TEST(GoaFaults, CorruptedPushIsRejectedByTheSoa)
     for (int kind = 0; kind < 3; ++kind) {
         RecomputeFaults rf;
         rf.budgetCorrupt = [kind](int) { return kind; };
-        const auto batch =
-            recomputeOwnRow(*fx.goa, kind * kHour, rf);
-        ASSERT_EQ(batch.size(), 2u);
-        for (const auto &pending : batch) {
-            EXPECT_FALSE(
-                fx.goa->deliver(pending, kind * kHour));
-        }
+        recomputeOwnRow(*fx.goa, kind * kHour, rf);
+        fx.goa->deliverDue(kind * kHour);
     }
-    EXPECT_EQ(fx.goa->stats().assignmentsRejected, 6u);
+    // Both sOAs received and rejected every push.
+    EXPECT_EQ(fx.goa->stats().budgetRejects, 6u);
     EXPECT_EQ(fx.a0->stats().budgetRejects, 3u);
+    EXPECT_EQ(fx.a0->lastAssignmentAt(), -1);
+    EXPECT_EQ(fx.a1->lastAssignmentAt(), -1);
     // Rejections never displaced the even-split bootstrap budget.
     EXPECT_DOUBLE_EQ(fx.a0->budgetWatts(0).count(), 500.0);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "cluster/fleet_state.hh"
 #include "cluster/trace_sim.hh"
 
 using namespace soc;
@@ -185,6 +187,29 @@ TEST(TraceSim, RejectsMisalignedTemplateWindow)
     EXPECT_THROW(runTraceSim(cfg), std::invalid_argument);
     cfg.templateWindow = sim::kWeek;
     EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(TraceSim, RejectsServersTheFleetMasksCannotHold)
+{
+    auto cfg = quickConfig(core::PolicyKind::SmartOClock, 1.1);
+    for (const int cores : {0, -8}) {
+        cfg.hardware.cores = cores;
+        EXPECT_THROW(cfg.validate(), std::invalid_argument) << cores;
+    }
+    // 512 cores pack about 100 VMs onto one server, past the 64-bit
+    // VM masks: the run must refuse instead of aliasing VM bits.
+    cfg.hardware.cores = 512;
+    cfg.serversPerRack = 1;
+    EXPECT_NO_THROW(cfg.validate());
+    EXPECT_THROW(runTraceSim(cfg), std::invalid_argument);
+
+    FleetState fleet(cfg.ocUtilThreshold);
+    EXPECT_THROW(fleet.addServer(65, std::vector<bool>(65, false)),
+                 std::invalid_argument);
+    EXPECT_THROW(fleet.addServer(8, std::vector<bool>(7, false)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(fleet.addServer(64, std::vector<bool>(64, true)));
+    EXPECT_EQ(fleet.totalVms(), 64u);
 }
 
 TEST(TraceSim, BatchMatchesIndividualRuns)
