@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full CI gate: tier-1 build + tests, the repository benchmark's
 # correctness checks, the bench regression gates, the
-# static-analysis chain, ThreadSanitizer, and the suite under
-# UndefinedBehaviorSanitizer.
+# static-analysis chain, ThreadSanitizer, the suite under
+# UndefinedBehaviorSanitizer, and the chaos suite under
+# AddressSanitizer.
 # Each stage uses its own build directory so sanitizer flags never
 # leak between configurations.  Usage: scripts/ci_check.sh
 set -e
@@ -140,5 +141,14 @@ echo "==== ci_check: UndefinedBehaviorSanitizer ===="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DSOC_SANITIZE=undefined
 cmake --build "$ROOT/build-ubsan" -j "$(nproc)"
 ctest --test-dir "$ROOT/build-ubsan" --output-on-failure -j "$(nproc)"
+
+echo "==== ci_check: chaos suite under AddressSanitizer ===="
+# The fault-injection suite drives the gOA's push queue (its
+# delivery cursor and the clear once drained), crash-restarts and
+# the hint ingress, where a heap error would hide.
+cmake -B "$ROOT/build-asan" -S "$ROOT" -DSOC_SANITIZE=address
+cmake --build "$ROOT/build-asan" -j "$(nproc)" --target test_chaos
+ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$(nproc)" \
+    -L chaos
 
 echo "==== ci_check: all stages passed ===="
