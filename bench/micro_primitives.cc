@@ -214,8 +214,8 @@ BM_BudgetSplit(benchmark::State &state)
 }
 BENCHMARK(BM_BudgetSplit)->Arg(8)->Arg(28);
 
-/** Steady-state split: usable row, scratch and output buffers
- *  reused. */
+/** Steady-state split: usable row and output buffers reused (the
+ *  split's scratch is per thread). */
 void
 BM_BudgetSplitWeeklyInto(benchmark::State &state)
 {
@@ -227,10 +227,9 @@ BM_BudgetSplitWeeklyInto(benchmark::State &state)
     const std::vector<double> usable(
         static_cast<std::size_t>(sim::kSlotsPerWeek),
         (limit * (1.0 - core::BudgetConfig{}.safetyFraction)).count());
-    core::BudgetAllocator::SplitScratch scratch;
     std::vector<core::ProfileTemplate> out;
     for (auto _ : state) {
-        allocator.splitWeeklyInto(usable, profiles, scratch, out);
+        allocator.splitWeeklyInto(usable, profiles, out);
         benchmark::DoNotOptimize(out);
     }
     state.SetItemsProcessed(state.iterations());

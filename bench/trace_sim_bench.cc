@@ -30,9 +30,11 @@
  *     scalar cost.
  *  6. Paper-scale streaming replay: the full 7,104-rack fleet of
  *     the paper (§III) through the HierarchyZone budget path,
- *     reporting replay throughput, the serial hierarchy-recompute
+ *     reporting replay throughput (racks over summed rack-seconds,
+ *     and racks over wall time), the serial hierarchy-recompute
  *     share, and peak RSS (the streaming-window design holds it to
- *     racks x window, not racks x horizon).
+ *     racks x window, not racks x horizon), with the thread count,
+ *     hardware threads and build type it ran with.
  *
  * Usage:
  *   trace_sim_bench [out.json] [--paper-scale] [--six-weeks]
@@ -62,6 +64,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -70,6 +73,7 @@
 #include "core/goa.hh"
 #include "hint_storm_common.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 #include "sim/time.hh"
 #include "workload/trace_generator.hh"
 
@@ -351,8 +355,13 @@ runGenBatchVsScalar()
 struct PaperScaleResult {
     cluster::TraceSimConfig cfg;
     cluster::TraceSimResult result;
+    /** Worker threads the lockstep pool ran with. */
+    int threads = 0;
     double wallS = 0.0;
+    /** Racks over summed rack replay seconds (the gated figure). */
     double racksPerS = 0.0;
+    /** Racks over the run's wall time. */
+    double wallRacksPerS = 0.0;
     double hierShare = 0.0;
     double peakRssMb = 0.0;
 };
@@ -381,9 +390,14 @@ runPaperScale(const Args &args)
     cfg.threads = args.threads;
     cfg.seed = 101;
 
+    // The pool size runLockstepZone picks: the request, capped at
+    // one thread per rack.
+    out.threads = std::min(
+        sim::ThreadPool::resolveThreads(cfg.threads), cfg.racks);
     const auto start = Clock::now();
     out.result = cluster::runTraceSim(cfg);
     out.wallS = secondsSince(start);
+    out.wallRacksPerS = out.wallS > 0.0 ? cfg.racks / out.wallS : 0.0;
     // Replay throughput charges the hierarchy's serial recompute
     // phase too — it is on the critical path at paper scale.
     const double replay_s =
@@ -405,6 +419,9 @@ printPaperScaleJson(std::FILE *out, const Args &args,
         "    \"paper_racks\": %d,\n"
         "    \"paper_servers_per_rack\": %d,\n"
         "    \"paper_horizon\": \"%s\",\n"
+        "    \"paper_threads\": %d,\n"
+        "    \"paper_hardware_threads\": %u,\n"
+        "    \"paper_build_type\": \"%s\",\n"
         "    \"paper_wall_s\": %.3f,\n"
         "    \"paper_gen_s\": %.3f,\n"
         "    \"paper_sim_s\": %.3f,\n"
@@ -412,17 +429,19 @@ printPaperScaleJson(std::FILE *out, const Args &args,
         "    \"paper_hier_share\": %.4f,\n"
         "    \"paper_hier_recomputes\": %llu,\n"
         "    \"paper_racks_per_s\": %.1f,\n"
+        "    \"paper_wall_racks_per_s\": %.1f,\n"
         "    \"paper_peak_rss_mb\": %.1f,\n"
         "    \"paper_requests\": %llu\n"
         "  }\n",
         paper.cfg.racks, paper.cfg.serversPerRack,
         args.sixWeeks ? "1w warmup + 5w eval" : "6h warmup + 6h eval",
-        paper.wallS, paper.result.genSeconds,
+        paper.threads, std::thread::hardware_concurrency(),
+        SOC_BENCH_BUILD_TYPE, paper.wallS, paper.result.genSeconds,
         paper.result.simSeconds, paper.result.hierSeconds,
         paper.hierShare,
         static_cast<unsigned long long>(
             paper.result.hierarchyRecomputes),
-        paper.racksPerS, paper.peakRssMb,
+        paper.racksPerS, paper.wallRacksPerS, paper.peakRssMb,
         static_cast<unsigned long long>(paper.result.requests));
 }
 
@@ -531,12 +550,10 @@ main(int argc, char **argv)
         static_cast<std::size_t>(sim::kSlotsPerWeek),
         (zone_limit * (1.0 - core::BudgetConfig{}.safetyFraction))
             .count());
-    core::BudgetAllocator::SplitScratch flat_scratch;
     std::vector<core::ProfileTemplate> flat_out;
     auto start = Clock::now();
     for (int rep = 0; rep < kHierReps; ++rep)
-        flat_alloc.splitWeeklyInto(flat_row, zone_profiles,
-                                   flat_scratch, flat_out);
+        flat_alloc.splitWeeklyInto(flat_row, zone_profiles, flat_out);
     const double flat_us = secondsSince(start) / kHierReps * 1e6;
 
     hierarchy.recompute(zone_limit); // build aggregates, not timed

@@ -801,9 +801,10 @@ RackRuntime::boundaryFinishZone(const core::BudgetHierarchy &hier,
             static_cast<sim::Tick>(slot) * sim::kSlot);
     }
     goa_->recomputeWithBudget(t_, usable);
-    // Fleet-scale footprint trim: profiles are re-pulled (cheap,
-    // cache-served) at the next boundary; safe because the
-    // hierarchical paths run with faults disabled.
+    // Fleet-scale footprint trim: the gOA's profiles and budget
+    // copies go until the next boundary re-pulls (cheap,
+    // cache-served) and re-splits; the sOAs keep their own budgets.
+    // Safe because the hierarchical paths run with faults disabled.
     goa_->releaseProfiles();
     stepMain(t_);
     t_ += config_.controlStep;

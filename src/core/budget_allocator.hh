@@ -62,38 +62,13 @@ struct BudgetConfig {
 class BudgetAllocator
 {
   public:
-    /**
-     * Reusable working memory for splitWeeklyInto.  A caller that
-     * keeps one instance across recomputes (the gOA does) makes the
-     * split allocation-free in steady state: the per-slot
-     * regular/demand scratch and the per-server weekly buffers
-     * retain their capacity between calls.
-     */
-    struct SplitScratch {
-        std::vector<double> regular;
-        std::vector<double> demand;
-        std::vector<std::vector<double>> budgets;
-        /** Materialized per-profile weeks (n x kSlotsPerWeek,
-         *  profile-major): regular power and overclock demand,
-         *  filled once per split instead of predicted per slot. */
-        std::vector<double> regularRows;
-        std::vector<double> demandRows;
-        /** One profile's template weeks (fillWeek scratch);
-         *  perCoreRow holds the surcharge model mapped over the
-         *  utilization week (fillWeekMapped). */
-        std::vector<double> powerRow;
-        std::vector<double> perCoreRow;
-        std::vector<double> ocRow;
-        std::vector<double> reqRow;
-    };
-
     BudgetAllocator(const power::PowerModel &model,
                     BudgetConfig config = {});
 
     /**
      * Split @p limit across servers for every slot of a week: the
      * convenience form of splitWeeklyInto over a constant row of
-     * limit * (1 - safetyFraction), with fresh buffers.
+     * limit * (1 - safetyFraction), into a fresh output vector.
      *
      * @param limit    Rack power limit.
      * @param profiles One profile per server.
@@ -111,14 +86,16 @@ class BudgetAllocator
      * margin once at the top level can pass intermediate budgets
      * down unchanged (see core/budget_hierarchy.hh).  @p out is
      * resized to profiles.size(); its templates are overwritten in
-     * place (assignWeekly), so repeated calls with the same scratch
-     * and output vectors perform no steady-state allocation.  A row
-     * of any other length throws std::invalid_argument before
-     * @p scratch or @p out is touched.
+     * place (assignWeekly), so repeated calls with the same output
+     * vector perform no steady-state allocation.  The working
+     * memory (two members x kSlotsPerWeek matrices plus a few week
+     * rows) is thread-local, private to budget_allocator.cc, and
+     * keeps its capacity between calls on the same thread, so no
+     * caller carries it between recomputes.  A row of any other length throws
+     * std::invalid_argument before @p out is touched.
      */
     void splitWeeklyInto(const std::vector<double> &usablePerSlot,
                          const std::vector<ServerProfile> &profiles,
-                         SplitScratch &scratch,
                          std::vector<ProfileTemplate> &out) const;
 
     /**

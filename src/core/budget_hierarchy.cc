@@ -112,15 +112,14 @@ BudgetHierarchy::recompute(power::Watts zoneLimit)
     const power::Watts usable =
         zoneLimit * (1.0 - config_.budget.safetyFraction);
     limitRow_.assign(slots, usable.count());
-    allocator_.splitWeeklyInto(limitRow_, rowAggregates_, scratch_,
-                               rowBudgets_);
+    allocator_.splitWeeklyInto(limitRow_, rowAggregates_, rowBudgets_);
     ++stats_.splits;
 
     // 3. Row -> racks, per row, over the row's per-slot budget.
     for (std::size_t row = 0; row < rowCount_; ++row) {
         rowBudgets_[row].fillWeek(limitRow_.data());
         allocator_.splitWeeklyInto(limitRow_, rackAggregates_[row],
-                                   scratch_, rackBudgets_[row]);
+                                   rackBudgets_[row]);
         ++stats_.splits;
     }
 }

@@ -166,8 +166,7 @@ class BudgetHierarchy
     std::vector<std::vector<ProfileTemplate>> rackBudgets_;
 
     /** Scratch reused across recomputes (allocation-free steady
-     *  state, mirroring BudgetAllocator::SplitScratch). */
-    BudgetAllocator::SplitScratch scratch_;
+     *  state; the splits keep theirs per thread). */
     ProfileAggregator aggregator_;
     std::vector<double> limitRow_;
 

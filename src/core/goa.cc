@@ -148,7 +148,7 @@ GlobalOverclockingAgent::splitPulled(
             "per sOA");
     }
     allocator_.splitWeeklyInto(usablePerSlot, lastProfiles_,
-                               splitScratch_, lastBudgets_);
+                               lastBudgets_);
     ++recomputes_;
 }
 
@@ -243,6 +243,9 @@ GlobalOverclockingAgent::releaseProfiles()
     // pullProfiles resizes both in lockstep.
     lastProfileValid_.clear();
     lastProfileValid_.shrink_to_fit();
+    lastBudgets_.clear();
+    lastBudgets_.shrink_to_fit();
+    assignScratch_ = BudgetAssignment{};
 }
 
 } // namespace core

@@ -167,9 +167,10 @@ class GlobalOverclockingAgent
      * BudgetAllocator::splitWeeklyInto) across the profiles pulled
      * by pullProfiles(), and apply each sOA's budget (which also
      * refreshes its own template).  Counts as one recompute.  The
-     * steady-state hot path: the split reuses scratch buffers and
-     * no push is queued, so it is allocation-free once the buffers
-     * are warm.  Throws std::logic_error when the gOA does not hold
+     * steady-state hot path: the split reuses its thread's scratch
+     * and the gOA's budget templates, and no push is queued, so it
+     * is allocation-free once warm (releaseProfiles() gives the
+     * templates up).  Throws std::logic_error when the gOA does not hold
      * one pulled profile per sOA (no pull yet, or releaseProfiles()
      * since), and std::invalid_argument for a row that is not
      * sim::kSlotsPerWeek long; either throw leaves every budget and
@@ -200,14 +201,19 @@ class GlobalOverclockingAgent
     void deliverDue(sim::Tick now);
 
     /**
-     * Drop the cached profile storage (fleet-scale footprint trim
-     * between recomputes).  Only safe when no degraded-mode fallback
-     * relies on cached profiles — i.e. fault injection is off; the
-     * next pull repopulates everything.
+     * Drop the recompute's working storage (fleet-scale footprint
+     * trim between lockstep boundaries): the cached profiles,
+     * lastBudgets() and the reused assignment payload.  Every sOA
+     * keeps its own copy of its budget, and between boundaries only
+     * those copies are read.  Only safe when no degraded-mode
+     * fallback relies on cached profiles — i.e. fault injection is
+     * off; the next pull and recomputeWithBudget rebuild
+     * everything.
      */
     void releaseProfiles();
 
-    /** Budgets from the last recompute (empty before the first). */
+    /** Budgets from the last recompute (empty before the first and
+     *  after releaseProfiles()). */
     const std::vector<ProfileTemplate> &lastBudgets() const
     {
         return lastBudgets_;
@@ -243,8 +249,6 @@ class GlobalOverclockingAgent
      *  stale-telemetry fallback, and (in place) the split input. */
     std::vector<ServerProfile> lastProfiles_;
     std::vector<bool> lastProfileValid_;
-    /** Reused split working memory (see SplitScratch). */
-    BudgetAllocator::SplitScratch splitScratch_;
     /** Reused assignment payload for the perfect-network path. */
     BudgetAssignment assignScratch_;
     /** Queued pushes, sorted by deliverAt from nextDelivery_ on;

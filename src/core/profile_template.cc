@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/stats.hh"
 
@@ -35,11 +36,31 @@ ProfileTemplate::flat(double value)
     return out;
 }
 
+namespace
+{
+
+/** Checked in every build: fillWeek copies the whole weekly vector
+ *  into a kSlotsPerWeek buffer and predict indexes it by
+ *  slot-of-week, so any other length writes or reads out of
+ *  bounds. */
+void
+requireWeek(const std::vector<double> &values, const char *caller)
+{
+    if (values.size() !=
+        static_cast<std::size_t>(sim::kSlotsPerWeek)) {
+        throw std::invalid_argument(
+            std::string("ProfileTemplate::") + caller + ": " +
+            std::to_string(values.size()) + " values, expected " +
+            std::to_string(sim::kSlotsPerWeek));
+    }
+}
+
+} // namespace
+
 ProfileTemplate
 ProfileTemplate::fromWeekly(std::vector<double> values)
 {
-    assert(values.size() ==
-           static_cast<std::size_t>(sim::kSlotsPerWeek));
+    requireWeek(values, "fromWeekly");
     ProfileTemplate out;
     out.strategy_ = TemplateStrategy::Weekly;
     out.weekly_ = std::move(values);
@@ -49,8 +70,7 @@ ProfileTemplate::fromWeekly(std::vector<double> values)
 void
 ProfileTemplate::assignWeekly(const std::vector<double> &values)
 {
-    assert(values.size() ==
-           static_cast<std::size_t>(sim::kSlotsPerWeek));
+    requireWeek(values, "assignWeekly");
     strategy_ = TemplateStrategy::Weekly;
     flatValue_ = 0.0;
     weekday_.clear();

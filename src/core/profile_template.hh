@@ -72,7 +72,8 @@ class ProfileTemplate
     /**
      * Template directly from one week of per-slot values
      * (sim::kSlotsPerWeek entries, Monday 00:00 first).  Used by the
-     * budget allocator to hand per-slot budgets to the sOAs.
+     * budget allocator to hand per-slot budgets to the sOAs.  Any
+     * other length throws std::invalid_argument (every build).
      */
     static ProfileTemplate fromWeekly(std::vector<double> values);
 
@@ -82,6 +83,8 @@ class ProfileTemplate
      * existing weekly storage, so a template that is rebuilt every
      * recompute (the budget allocator's steady state) reuses its
      * allocation instead of producing a fresh 2016-entry vector.
+     * Any other length throws std::invalid_argument (every build)
+     * and leaves the template unchanged.
      */
     void assignWeekly(const std::vector<double> &values);
 

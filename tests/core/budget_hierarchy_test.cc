@@ -194,9 +194,8 @@ TEST(BudgetAllocatorWeekly, ConstantRowMatchesScalarSplit)
     const double usable = 2000.0 * (1.0 - cfg.safetyFraction);
     std::vector<double> row(
         static_cast<std::size_t>(sim::kSlotsPerWeek), usable);
-    BudgetAllocator::SplitScratch scratch;
     std::vector<ProfileTemplate> weekly;
-    allocator.splitWeeklyInto(row, profiles, scratch, weekly);
+    allocator.splitWeeklyInto(row, profiles, weekly);
 
     ASSERT_EQ(scalar.size(), weekly.size());
     for (std::size_t i = 0; i < scalar.size(); ++i)

@@ -244,3 +244,38 @@ TEST(Goa, RecomputeWithBudgetAfterReleaseThrows)
                  std::logic_error);
     expectUnchanged(before, fx);
 }
+
+TEST(Goa, ReleaseDropsBudgetCopiesAndRepullReproducesThem)
+{
+    // Between zone boundaries only the sOAs' own budgets are read:
+    // release drops the gOA's copies, the sOAs keep enforcing, and
+    // the next pull + split rebuilds the same budgets.
+    Fixture fx(3);
+    fx.goa.assignEvenSplit();
+    OverclockRequest req;
+    req.cores = 8;
+    req.groupId = fx.vms[1];
+    req.duration = 4 * sim::kHour;
+    fx.soas[1]->requestOverclock(req, 0);
+    tickFor(fx, 2 * sim::kHour);
+    const Tick now = 2 * sim::kHour;
+    std::vector<double> row = usableRow();
+    for (std::size_t slot = 0; slot < row.size(); slot += 3)
+        row[slot] = 900.0;
+
+    fx.goa.pullProfiles();
+    fx.goa.recomputeWithBudget(now, row);
+    const BudgetState before = budgetState(fx);
+    ASSERT_EQ(before.lastBudgets.size(), 3u);
+
+    fx.goa.releaseProfiles();
+    EXPECT_TRUE(fx.goa.lastBudgets().empty());
+    EXPECT_EQ(budgetState(fx).soaWatts, before.soaWatts);
+
+    fx.goa.pullProfiles();
+    fx.goa.recomputeWithBudget(now, row);
+    const BudgetState after = budgetState(fx);
+    EXPECT_TRUE(after.lastBudgets == before.lastBudgets);
+    EXPECT_EQ(after.soaWatts, before.soaWatts);
+    EXPECT_EQ(after.recomputes, before.recomputes + 1);
+}

@@ -131,6 +131,30 @@ TEST(ProfileTemplate, FlatAndFromWeeklyConstructors)
     EXPECT_EQ(tmpl.predict(11 * kSlot), 1.0);
 }
 
+TEST(ProfileTemplate, WeeklyConstructorsRejectWrongLength)
+{
+    // Checked in every build: fillWeek copies the whole vector into
+    // a week-sized buffer and predict indexes it by slot-of-week.
+    std::vector<double> week(sim::kSlotsPerWeek, 7.0);
+    week[3] = 11.0;
+    for (std::size_t n : {std::size_t{0},
+                          std::size_t{sim::kSlotsPerWeek - 1},
+                          std::size_t{sim::kSlotsPerWeek + 1}}) {
+        const std::vector<double> values(n, 5.0);
+        EXPECT_THROW(ProfileTemplate::fromWeekly(values),
+                     std::invalid_argument)
+            << n << " values";
+        for (auto tmpl : {ProfileTemplate::flat(3.0),
+                          ProfileTemplate::fromWeekly(week)}) {
+            const ProfileTemplate before = tmpl;
+            EXPECT_THROW(tmpl.assignWeekly(values),
+                         std::invalid_argument)
+                << n << " values";
+            EXPECT_TRUE(tmpl == before) << n << " values";
+        }
+    }
+}
+
 TEST(ProfileTemplate, PeakReflectsLargestPrediction)
 {
     const auto history = syntheticHistory(100.0, 300.0, 50.0);
