@@ -25,12 +25,20 @@
 #  - the paper-scale run (7,104 racks x 8 servers, 6h + 6h,
 #    HierarchyZone) must sustain PAPER_RACKS_PER_S_MIN and stay
 #    under PAPER_PEAK_RSS_MB_MAX — the streaming-window + resident-
-#    fleet footprint (BENCH_trace_sim.json records 111.3 racks/s
-#    and 11,951 MB with the compact quantized columns; the gate
-#    landed at ~55 racks/s, ~29 GB);
+#    fleet footprint (BENCH_trace_sim.json records 290.8 racks/s
+#    and 6,222 MB at 4 threads with the split scratch per thread;
+#    the ceiling is that plus ~25%.  Resident per-rack split
+#    scratch and budget copies took it to 10.3 GB; the gate landed
+#    at ~55 racks/s, ~29 GB);
 #  - paper-scale trace generation must stay cheaper than the replay
 #    itself (gen_s < sim_s): the batch generator must never become
-#    the bottleneck of a policy study.
+#    the bottleneck of a policy study;
+#  - a 256-rack slice of the six-week horizon must stay under
+#    SIXWEEK_SLICE_MB_PER_RACK_MAX of peak RSS per rack (1.62
+#    MB/rack at 1 thread, 1.69 at 4; ~25% margin; resident
+#    per-rack split scratch made it 2.22).  Generation outweighs
+#    the replay at six weeks, so the gen < sim gate does not apply
+#    to it.
 # Usage: scripts/bench_check.sh [builddir]
 set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -39,19 +47,22 @@ RACKS_PER_S_MIN=500
 HINTS_PER_S_MIN=1000000
 GEN_BATCH_SPEEDUP_MIN=1.02
 PAPER_RACKS_PER_S_MIN=100
-PAPER_PEAK_RSS_MB_MAX=16000
+PAPER_PEAK_RSS_MB_MAX=7750
+SIXWEEK_SLICE_RACKS=256
+SIXWEEK_SLICE_MB_PER_RACK_MAX=2.1
 cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j "$(nproc)" \
     --target bench_trace_sim bench_micro_primitives
 "$BUILD/bench/bench_trace_sim" "$ROOT/BENCH_trace_sim.json"
 
 # Parse fail-closed: an empty extraction (field renamed, malformed
-# JSON) must fail the gate rather than vacuously pass it.
+# JSON) must fail the gate rather than vacuously pass it.  The
+# optional second argument names another JSON file to read.
 extract() {
-    VALUE=$(sed -n "s/.*\"$1\": \([0-9.]*\).*/\1/p" \
-        "$ROOT/BENCH_trace_sim.json")
+    FILE="${2:-$ROOT/BENCH_trace_sim.json}"
+    VALUE=$(sed -n "s/.*\"$1\": \([0-9.]*\).*/\1/p" "$FILE")
     if [ -z "$VALUE" ]; then
-        echo "FAIL: field '$1' missing from BENCH_trace_sim.json" >&2
+        echo "FAIL: field '$1' missing from $FILE" >&2
         exit 1
     fi
     echo "$VALUE"
@@ -131,6 +142,26 @@ awk "BEGIN { exit !($PAPER_GEN_S < $PAPER_SIM_S) }" || {
          "replay (gen_s >= sim_s)" >&2
     exit 1
 }
+# Six-week slice: 256 racks on the paper's 1w + 5w horizon.  At
+# six weeks per-rack state (the sOAs' slot aggregators, the agents)
+# dominates the footprint, so the gate is peak RSS per rack.
+"$BUILD/bench/bench_trace_sim" "$BUILD/BENCH_sixweek_slice.json" \
+    --paper-scale --racks "$SIXWEEK_SLICE_RACKS" --six-weeks
+SLICE_JSON="$BUILD/BENCH_sixweek_slice.json"
+SLICE_RACKS=$(extract paper_racks "$SLICE_JSON")
+SLICE_RSS_MB=$(extract paper_peak_rss_mb "$SLICE_JSON")
+SLICE_MB_PER_RACK=$(awk \
+    "BEGIN { printf \"%.3f\", $SLICE_RSS_MB / $SLICE_RACKS }")
+echo "six-week slice ($SLICE_RACKS racks): $SLICE_RSS_MB MB peak," \
+     "$SLICE_MB_PER_RACK MB/rack" \
+     "(ceiling: $SIXWEEK_SLICE_MB_PER_RACK_MAX)"
+awk "BEGIN { exit !($SLICE_MB_PER_RACK <= \
+    $SIXWEEK_SLICE_MB_PER_RACK_MAX) }" || {
+    echo "FAIL: six-week slice peak RSS above" \
+         "$SIXWEEK_SLICE_MB_PER_RACK_MAX MB per rack" >&2
+    exit 1
+}
+
 # Microbenchmarks of the underlying primitives (informational).
 "$BUILD/bench/bench_micro_primitives" \
     --benchmark_filter='BM_Template|BM_Budget' \

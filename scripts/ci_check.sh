@@ -65,10 +65,12 @@ for field in paper_racks_per_s paper_peak_rss_mb; do
         exit 1
     }
 done
-# Memory ceiling for the resident fleet: the run peaks at 740-750 MB
-# at 1 and 4 threads, so a regression of ~40% fails it.  Parsed
-# fail-closed: an unreadable value fails the stage.
-PAPER_SMOKE_RSS_MB_MAX=1024
+# Memory ceiling for the resident fleet: the run peaks at 448-450 MB
+# at 1 and 4 threads, so a regression of ~25% fails it (with the
+# gOAs' split scratch and budget copies resident between
+# boundaries it peaked at 740-750 MB).  Parsed fail-closed: an
+# unreadable value fails the stage.
+PAPER_SMOKE_RSS_MB_MAX=560
 PAPER_SMOKE_RSS_MB=$(sed -n \
     's/.*"paper_peak_rss_mb": \([0-9.]*\).*/\1/p' \
     "$ROOT/build/BENCH_paper_smoke.json")
@@ -99,11 +101,11 @@ for field in paper_racks_per_s paper_peak_rss_mb; do
     }
 done
 # Memory ceiling: per-server state that grows with the horizon
-# must not creep back unnoticed.  The run peaks at ~40 MB at 1 and
-# 4 threads; a second, full-horizon copy of each sOA's telemetry
-# took it to 110 MB.  Parsed fail-closed: an unreadable value fails
-# the stage.
-SIXWEEK_RSS_MB_MAX=64
+# must not creep back unnoticed.  The run peaks at 29.5 MB at 1
+# thread and 33.4 MB at 4 (~25% margin below); a second,
+# full-horizon copy of each sOA's telemetry took it to 110 MB.
+# Parsed fail-closed: an unreadable value fails the stage.
+SIXWEEK_RSS_MB_MAX=42
 SIXWEEK_RSS_MB=$(sed -n 's/.*"paper_peak_rss_mb": \([0-9.]*\).*/\1/p' \
     "$ROOT/build/BENCH_sixweek_smoke.json")
 if [ -z "$SIXWEEK_RSS_MB" ]; then
