@@ -1,5 +1,6 @@
 #include "sim/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace soc
@@ -107,17 +108,37 @@ Rng::normalFill(double *out, std::size_t n)
     }
     // Accepted polar pairs land as consecutive samples; this is the
     // same draw order as the scalar path, which returns u*factor and
-    // caches v*factor for the immediately following call.
+    // caches v*factor for the immediately following call.  Pairs
+    // come in chunks: each round draws only as many candidates as
+    // acceptances are still missing and keeps the accepted ones by
+    // advancing m without a branch, so every candidate of the last
+    // round is accepted and the stream stops exactly where the
+    // scalar loop's would.
+    constexpr std::size_t kPairs = kNormalChunk / 2;
+    double us[kPairs];
+    double vs[kPairs];
+    double ss[kPairs];
     while (i + 1 < n) {
-        double u, v, s;
-        do {
-            u = uniform(-1.0, 1.0);
-            v = uniform(-1.0, 1.0);
-            s = u * u + v * v;
-        } while (s >= 1.0 || s == 0.0);
-        const double factor = std::sqrt(-2.0 * std::log(s) / s);
-        out[i++] = u * factor;
-        out[i++] = v * factor;
+        const std::size_t want = std::min((n - i) / 2, kPairs);
+        std::size_t m = 0;
+        while (m < want) {
+            for (std::size_t draws = want - m; draws > 0; --draws) {
+                const double u = uniform(-1.0, 1.0);
+                const double v = uniform(-1.0, 1.0);
+                const double s = u * u + v * v;
+                us[m] = u;
+                vs[m] = v;
+                ss[m] = s;
+                m += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
+            }
+        }
+        for (std::size_t k = 0; k < want; ++k) {
+            const double factor =
+                std::sqrt(-2.0 * std::log(ss[k]) / ss[k]);
+            out[i + 2 * k] = us[k] * factor;
+            out[i + 2 * k + 1] = vs[k] * factor;
+        }
+        i += 2 * want;
     }
     if (i < n)
         out[i] = normal(); // odd tail: caches the pair's spare

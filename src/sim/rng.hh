@@ -13,6 +13,7 @@
 #define SOC_SIM_RNG_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace soc
@@ -56,6 +57,10 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /** Samples per round of normalFill's pair loop (half as many
+     *  polar pairs); bounds its stack scratch. */
+    static constexpr std::size_t kNormalChunk = 256;
+
     /**
      * Fill out[0..n) with standard normals, consuming the stream
      * exactly like n successive normal() calls: a cached spare from
@@ -63,9 +68,10 @@ class Rng
      * order, and an odd tail leaves its second draw cached for the
      * *next* call (scalar or batch).  Pinned bit-identical to the
      * scalar loop by test, so generators may switch freely between
-     * the two shapes mid-stream.  The batch form hoists the
-     * spare-cache bookkeeping and call overhead out of the per-sample
-     * path — the trace generator's window fills run on it.
+     * the two shapes mid-stream.  The batch form draws candidate
+     * pairs without a data-dependent branch, then runs the polar
+     * transform over the accepted ones straight-line — the trace
+     * generator's window fills run on it.
      */
     void normalFill(double *out, std::size_t n);
 

@@ -71,8 +71,10 @@ struct Archetype {
     /**
      * Batch form of utilAt: out[k] = utilAt(start + k * interval)
      * for k in [0, n), bit-identical to the scalar calls (pinned by
-     * test).  The per-sample shape dispatch is hoisted out of the
-     * loop so window fills run one straight-line kernel per VM.
+     * test).  Samples whose shifted tick is a non-negative whole
+     * minute read the shape from a per-kind minute-of-day table
+     * filled once per process by the same kernels; the others
+     * evaluate the kernel as utilAt does.
      */
     void utilFill(sim::Tick start, sim::Tick interval, std::size_t n,
                   double *out) const;

@@ -93,6 +93,8 @@ class VmUtilCursor
      *  same-day segment is almost always a single batch. */
     static constexpr std::size_t kBatch = sim::kSlotsPerDay;
 
+    /** Throws std::invalid_argument on a config TraceGenerator
+     *  would reject. */
     VmUtilCursor(sim::Rng rng, const Archetype &archetype,
                  const TraceConfig &cfg);
 
@@ -100,9 +102,13 @@ class VmUtilCursor
      * Produce the next @p n samples of the series into
      * out[0], out[stride], ..., out[(n-1)*stride] — a column of a
      * slot-major buffer when @p stride is the fleet's VM count.
-     * Must not run past cfg.end (asserted).
+     * Throws std::out_of_range, before drawing anything, when
+     * @p n exceeds remaining().
      */
     void generate(std::size_t n, double *out, std::size_t stride);
+
+    /** Samples left before cfg.end. */
+    std::size_t remaining() const;
 
     /** Rewind to the first sample (replays the same series). */
     void reset();
@@ -146,7 +152,9 @@ class ServerTraceStream
      * first VM column of a slot-major window with row width
      * @p stride.  Watts columns hold the per-VM turbo power
      * contribution (mix[v].cores * corePower(util, kTurboMHz)), the
-     * exact summand ServerTrace::vmTurboWatts stores.
+     * exact summand ServerTrace::vmTurboWatts stores.  Throws
+     * std::out_of_range before filling anything when @p n runs past
+     * the horizon (every cursor sits at the same sample).
      */
     void generate(std::size_t n, double *util, double *watts,
                   std::size_t stride);
@@ -161,7 +169,9 @@ class ServerTraceStream
      * i.e. the watts hint is computed from the *dequantized*
      * utilization — exactly the summand the replay's batch server
      * update consumes, so uncapped groups never re-evaluate the
-     * power model (DESIGN.md §14).
+     * power model (DESIGN.md §14).  Like generate(), throws
+     * std::out_of_range before filling anything when @p n runs past
+     * the horizon.
      */
     void generateQuantized(std::size_t n, std::uint16_t *util,
                            float *watts, std::size_t stride);
@@ -183,6 +193,8 @@ class ServerTraceStream
 class TraceGenerator
 {
   public:
+    /** Throws std::invalid_argument unless cfg.end > cfg.start and
+     *  cfg.interval > 0, in every build type. */
     explicit TraceGenerator(std::uint64_t seed, TraceConfig cfg = {});
 
     const TraceConfig &config() const { return cfg_; }

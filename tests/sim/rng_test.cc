@@ -221,21 +221,45 @@ TEST(Rng, DeriveSeedAdjacentRackStreamsAreIndependent)
 TEST(Rng, NormalFillMatchesScalarStream)
 {
     // Batch sizes chosen to hit every boundary case: empty, one
-    // (odd tail caches a spare), even, odd-after-spare, and a batch
-    // larger than the internal pair loop's unroll.
-    const std::size_t batches[] = {0, 1, 2, 3, 7, 288, 5, 0, 97};
+    // (odd tail caches a spare), even, odd-after-spare, a full
+    // trace-generator day, and sizes around the pair loop's internal
+    // chunk (one short, exact, one over, two chunks and a tail) up
+    // to a week of slots.  The list runs twice, once entered with a
+    // live spare, so each size meets both prologues.
+    constexpr std::size_t chunk = Rng::kNormalChunk;
+    const std::size_t batches[] = {0,         1,         2,
+                                   3,         7,         288,
+                                   5,         0,         97,
+                                   chunk - 1, chunk,     chunk + 1,
+                                   chunk,     2 * chunk + 1,
+                                   2016,      chunk - 1, 4};
     Rng scalar(2024), batch(2024);
-    for (const std::size_t n : batches) {
-        std::vector<double> got(n, 0.0);
-        batch.normalFill(got.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double want = scalar.normal();
-            ASSERT_EQ(want, got[i]) << "batch " << n << " i " << i;
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1) {
+            ASSERT_EQ(scalar.normal(), batch.normal());
+        }
+        for (const std::size_t n : batches) {
+            std::vector<double> got(n, 0.0);
+            batch.normalFill(got.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double want = scalar.normal();
+                ASSERT_EQ(want, got[i])
+                    << "pass " << pass << " batch " << n << " i "
+                    << i;
+            }
+            // After every batch both generators sit at the same
+            // raw-stream position with the same cached spare: a
+            // fill that drew past its last needed pair, or one
+            // short of it, diverges here and not only at the end.
+            Rng scalar_next = scalar;
+            Rng batch_next = batch;
+            ASSERT_EQ(scalar_next.normal(), batch_next.normal())
+                << "pass " << pass << " batch " << n;
+            for (int i = 0; i < 4; ++i)
+                ASSERT_EQ(scalar_next(), batch_next())
+                    << "pass " << pass << " batch " << n;
         }
     }
-    // Both generators end in the same raw-stream state too.
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(scalar(), batch());
 }
 
 TEST(Rng, NormalFillCarriesLiveSpareAcrossBoundary)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "core/profile_template.hh"
@@ -353,9 +354,11 @@ TEST(TraceGenerator, QuantizedStreamMatchesDoubleStream)
 
 TEST(TraceGenerator, UtilFillMatchesUtilAt)
 {
-    // The batched shape kernel behind the window fills must agree
-    // bit for bit with the scalar utilAt across day, weekend, and
-    // phase-shift boundaries for every archetype kind.
+    // The batched shape fill behind the window fills must agree bit
+    // for bit with the scalar utilAt across day, weekend, and
+    // phase-shift boundaries for every archetype kind, on both of
+    // its paths: the minute-of-day table (non-negative whole-minute
+    // shifted ticks) and the kernel (negative or off-minute ones).
     TraceGenerator gen(12, shortConfig());
     std::vector<Archetype> archetypes;
     for (const auto &vm : gen.randomVmMix(64))
@@ -364,17 +367,137 @@ TEST(TraceGenerator, UtilFillMatchesUtilAt)
     archetypes.push_back(serviceB());
     archetypes.push_back(serviceC());
     archetypes.push_back(mlTraining());
-
-    const std::size_t n = 9 * sim::kSlotsPerDay; // crosses a weekend
-    const sim::Tick start = 4 * sim::kDay + 3 * sim::kMinute;
-    std::vector<double> filled(n);
-    for (const auto &arch : archetypes) {
-        arch.utilFill(start, sim::kSlot, n, filled.data());
-        for (std::size_t k = 0; k < n; ++k) {
-            const sim::Tick t =
-                start + static_cast<sim::Tick>(k) * sim::kSlot;
-            ASSERT_EQ(filled[k], arch.utilAt(t))
-                << shapeName(arch.kind) << " k " << k;
+    // Every kind explicitly, whatever the random mix drew, at phase
+    // shifts from -3 h to +3 h: from start 0 the negative ones give
+    // negative shifted ticks.
+    const sim::Tick shifts[] = {-3 * sim::kHour, -179 * sim::kMinute,
+                                -7 * sim::kMinute, -sim::kMinute, 0,
+                                7 * sim::kMinute, 3 * sim::kHour};
+    for (int kind = 0; kind <= static_cast<int>(ShapeKind::LowIdle);
+         ++kind) {
+        for (const sim::Tick shift : shifts) {
+            Archetype arch;
+            arch.kind = static_cast<ShapeKind>(kind);
+            arch.baseUtil = 0.1;
+            arch.peakUtil = 0.9;
+            arch.phaseShift = shift;
+            archetypes.push_back(arch);
         }
     }
+
+    struct Window {
+        sim::Tick start;
+        sim::Tick interval;
+        std::size_t n;
+    };
+    const Window windows[] = {
+        // Crosses a weekend, off the slot grid but on the minute one.
+        {4 * sim::kDay + 3 * sim::kMinute, sim::kSlot,
+         9 * sim::kSlotsPerDay},
+        // From tick 0: negative shifts start below zero and cross it.
+        {0, sim::kSlot, 2 * sim::kSlotsPerDay},
+        // Neither start nor interval a whole minute: kernel only.
+        {4 * sim::kDay + 7 * sim::kSecond, 30 * sim::kSecond,
+         3 * 2880},
+        // Whole-minute start, off-minute interval.
+        {5 * sim::kDay, 90 * sim::kSecond, 2000},
+    };
+    for (const Window &w : windows) {
+        std::vector<double> filled(w.n);
+        for (const auto &arch : archetypes) {
+            arch.utilFill(w.start, w.interval, w.n, filled.data());
+            for (std::size_t k = 0; k < w.n; ++k) {
+                const sim::Tick t =
+                    w.start + static_cast<sim::Tick>(k) * w.interval;
+                ASSERT_EQ(filled[k], arch.utilAt(t))
+                    << shapeName(arch.kind) << " shift "
+                    << arch.phaseShift << " start " << w.start
+                    << " interval " << w.interval << " k " << k;
+            }
+        }
+    }
+}
+
+TEST(TraceGenerator, RejectsConfigsWithoutSamples)
+{
+    // Fail closed in every build type: a zero interval would divide
+    // by zero in the cursor and never end utilSeries.
+    const auto rejects = [](TraceConfig cfg) {
+        EXPECT_THROW(TraceGenerator(1, cfg), std::invalid_argument);
+        EXPECT_THROW(VmUtilCursor(sim::Rng(1), serviceA(), cfg),
+                     std::invalid_argument);
+    };
+    TraceConfig cfg = shortConfig();
+    cfg.interval = 0;
+    rejects(cfg);
+    cfg.interval = -sim::kSlot;
+    rejects(cfg);
+    cfg = shortConfig();
+    cfg.end = cfg.start;
+    rejects(cfg);
+    cfg.end = cfg.start - sim::kSlot;
+    rejects(cfg);
+    EXPECT_NO_THROW(TraceGenerator(1, shortConfig()));
+}
+
+TEST(TraceGenerator, GeneratePastHorizonThrowsAndLeavesCursor)
+{
+    // A request past cfg.end throws before drawing anything: the
+    // cursor's position and stream are unchanged, so the samples it
+    // then produces are those of an untouched twin.
+    TraceConfig cfg = shortConfig();
+    cfg.end = sim::kDay + 10 * sim::kSlot; // 298 samples
+    VmUtilCursor cursor(sim::Rng(5), serviceA(), cfg);
+    VmUtilCursor twin(sim::Rng(5), serviceA(), cfg);
+    ASSERT_EQ(cursor.remaining(), 298u);
+
+    std::vector<double> out(300);
+    cursor.generate(100, out.data(), 1);
+    twin.generate(100, out.data(), 1);
+    EXPECT_THROW(cursor.generate(199, out.data(), 1),
+                 std::out_of_range);
+    EXPECT_EQ(cursor.position(), 100u);
+    EXPECT_EQ(cursor.remaining(), 198u);
+
+    std::vector<double> got(198);
+    std::vector<double> want(198);
+    cursor.generate(198, got.data(), 1);
+    twin.generate(198, want.data(), 1);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(cursor.remaining(), 0u);
+    EXPECT_THROW(cursor.generate(1, out.data(), 1),
+                 std::out_of_range);
+    EXPECT_NO_THROW(cursor.generate(0, out.data(), 1));
+}
+
+TEST(TraceGenerator, QuantizedStreamPastHorizonThrowsAndLeavesStream)
+{
+    // The quantized fill advances in day-sized chunks; a request
+    // past the horizon must fail before the first of them.
+    const power::PowerModel model;
+    TraceConfig cfg = shortConfig();
+    cfg.end = 2 * sim::kDay;
+    TraceGenerator gen_a(8, cfg);
+    TraceGenerator gen_b(8, cfg);
+    auto stream =
+        gen_a.serverTraceStream(gen_a.randomVmMix(64), model);
+    auto twin =
+        gen_b.serverTraceStream(gen_b.randomVmMix(64), model);
+
+    const std::size_t stride = stream.vms();
+    const std::size_t slots = 2 * sim::kSlotsPerDay;
+    std::vector<std::uint16_t> util(slots * stride);
+    std::vector<float> watts(slots * stride);
+    EXPECT_THROW(stream.generateQuantized(slots + 1, util.data(),
+                                          watts.data(), stride),
+                 std::out_of_range);
+
+    std::vector<std::uint16_t> twin_util(slots * stride);
+    std::vector<float> twin_watts(slots * stride);
+    stream.generateQuantized(slots, util.data(), watts.data(),
+                             stride);
+    twin.generateQuantized(slots, twin_util.data(), twin_watts.data(),
+                           stride);
+    EXPECT_EQ(util, twin_util);
+    EXPECT_EQ(watts, twin_watts);
 }
