@@ -68,7 +68,7 @@ AdmissionController::decide(const OverclockRequest &request,
             firstPowerViolation(in, extra, request.duration);
         if (violation <= in.now + config_.minGrant) {
             decision.granted = false;
-            decision.reason = "power budget insufficient";
+            decision.reason = AdmissionReason::PowerBudgetInsufficient;
             return decision;
         }
         granted_until = std::min(granted_until, violation);
@@ -81,7 +81,8 @@ AdmissionController::decide(const OverclockRequest &request,
         if (request.trigger == TriggerKind::Schedule) {
             if (!in.lifetime->tryReserve(core_time, in.now)) {
                 decision.granted = false;
-                decision.reason = "overclock budget insufficient";
+                decision.reason =
+                    AdmissionReason::OverclockBudgetInsufficient;
                 return decision;
             }
         } else {
@@ -94,7 +95,8 @@ AdmissionController::decide(const OverclockRequest &request,
                 : 0;
             if (sustain < config_.minGrant) {
                 decision.granted = false;
-                decision.reason = "overclock budget exhausted";
+                decision.reason =
+                    AdmissionReason::OverclockBudgetExhausted;
                 return decision;
             }
             granted_until =
@@ -104,7 +106,7 @@ AdmissionController::decide(const OverclockRequest &request,
 
     decision.granted = true;
     decision.grantedUntil = granted_until;
-    decision.reason = "ok";
+    decision.reason = AdmissionReason::Ok;
     return decision;
 }
 

@@ -2,14 +2,218 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace soc
 {
 namespace core
 {
 
+namespace
+{
+
+/** SplitMix64's finalizer: every input bit reaches the low bits a
+ *  power-of-two table masks to. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/** Server, VM and kind folded into one word, before mixing. */
+std::uint64_t
+foldFlow(int server, std::int32_t vm, std::uint8_t kind)
+{
+    const std::uint64_t ids =
+        (std::uint64_t{static_cast<std::uint32_t>(server)} << 32) |
+        static_cast<std::uint32_t>(vm);
+    return ids + std::uint64_t{kind} * 0x9e3779b97f4a7c15ULL;
+}
+
+/** First allocation of a table or ring; both double from there. */
+constexpr std::size_t kMinSlots = 16;
+
+} // namespace
+
+std::uint64_t
+HintIngress::FlowKey::hash() const
+{
+    return mix64(foldFlow(server, vm, kind));
+}
+
+std::uint64_t
+HintIngress::DupKey::hash() const
+{
+    return mix64(foldFlow(flow.server, flow.vm, flow.kind) ^
+                 seq * 0xc2b2ae3d27d4eb4fULL);
+}
+
+template <class Key>
+std::size_t
+HintIngress::CountTable<Key>::probe(const Key &key) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(key.hash()) & mask;
+    while (occupied(i) && !(slots_[i].key == key))
+        i = (i + 1) & mask;
+    return i;
+}
+
+template <class Key>
+std::uint32_t
+HintIngress::CountTable<Key>::count(const Key &key) const
+{
+    if (slots_.empty())
+        return 0;
+    const std::size_t i = probe(key);
+    return occupied(i) ? slots_[i].count : 0;
+}
+
+template <class Key>
+std::uint32_t
+HintIngress::CountTable<Key>::increment(const Key &key)
+{
+    if (2 * (live_ + 1) > slots_.size())
+        grow();
+    const std::size_t i = probe(key);
+    Slot &slot = slots_[i];
+    if (!occupied(i)) {
+        slot.key = key;
+        slot.count = 0;
+        slot.epoch = epoch_;
+        ++live_;
+    }
+    return ++slot.count;
+}
+
+template <class Key>
+std::uint32_t
+HintIngress::CountTable<Key>::decrement(const Key &key)
+{
+    if (slots_.empty())
+        return 0;
+    std::size_t hole = probe(key);
+    if (!occupied(hole))
+        return 0;
+    if (--slots_[hole].count > 0)
+        return slots_[hole].count;
+
+    // Backward-shift deletion: walk the rest of the probe run and
+    // pull back every key whose home slot is not between the hole
+    // and its current slot, so every probe run stays unbroken.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; occupied(j);
+         j = (j + 1) & mask) {
+        const std::size_t home =
+            static_cast<std::size_t>(slots_[j].key.hash()) & mask;
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole].epoch = 0;
+    --live_;
+    return 0;
+}
+
+template <class Key>
+void
+HintIngress::CountTable<Key>::clear()
+{
+    live_ = 0;
+    if (++epoch_ != 0)
+        return;
+    // Epoch wrapped: stale slots could alias the new epoch.
+    for (Slot &slot : slots_)
+        slot.epoch = 0;
+    epoch_ = 1;
+}
+
+template <class Key>
+void
+HintIngress::CountTable<Key>::grow()
+{
+    std::vector<Slot> old(std::max(kMinSlots, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::uint32_t old_epoch = epoch_;
+    epoch_ = 1;
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot &slot : old) {
+        if (slot.epoch != old_epoch)
+            continue;
+        std::size_t i = static_cast<std::size_t>(slot.key.hash()) & mask;
+        while (occupied(i))
+            i = (i + 1) & mask;
+        slots_[i] = slot;
+        slots_[i].epoch = epoch_;
+    }
+}
+
+void
+HintIngress::Ring::pushBack(const wire::ParsedHint &hint)
+{
+    if (size_ == buf_.size()) {
+        assert(size_ < limit_ && "offer() evicts before a full push");
+        std::vector<wire::ParsedHint> grown(
+            std::min(limit_, std::max(kMinSlots, 2 * buf_.size())));
+        for (std::size_t i = 0; i < size_; ++i)
+            grown[i] = (*this)[i];
+        buf_.swap(grown);
+        head_ = 0;
+    }
+    at(size_) = hint;
+    ++size_;
+}
+
+void
+HintIngress::Ring::popFront()
+{
+    assert(size_ > 0);
+    head_ = wrap(head_ + 1);
+    if (--size_ == 0)
+        head_ = 0;
+}
+
+void
+HintIngress::Ring::erase(std::size_t i)
+{
+    assert(i < size_);
+    if (i < size_ / 2) {
+        for (std::size_t k = i; k > 0; --k)
+            at(k) = at(k - 1);
+        popFront();
+    } else {
+        for (std::size_t k = i; k + 1 < size_; ++k)
+            at(k) = at(k + 1);
+        if (--size_ == 0)
+            head_ = 0;
+    }
+}
+
+void
+HintIngress::Ring::clear()
+{
+    head_ = 0;
+    size_ = 0;
+}
+
+void
+HintIngress::Ring::swap(Ring &other) noexcept
+{
+    buf_.swap(other.buf_);
+    std::swap(head_, other.head_);
+    std::swap(size_, other.size_);
+    std::swap(limit_, other.limit_);
+}
+
 HintIngress::HintIngress(HintIngressConfig config)
-    : config_(config)
+    : config_(config), pending_(config.queueCapacity),
+      draining_(config.queueCapacity)
 {
     config_.validate();
 }
@@ -30,8 +234,7 @@ HintIngress::flowKey(const wire::ParsedHint &h)
 HintIngress::DupKey
 HintIngress::dupKey(const wire::ParsedHint &h)
 {
-    return DupKey{h.server, h.vmId,
-                  static_cast<std::uint8_t>(h.kind), h.seq};
+    return DupKey{flowKey(h), h.seq};
 }
 
 void
@@ -48,7 +251,9 @@ HintIngress::noteDepth()
  * hint of the same flow supersedes it).  If every flow is unique,
  * evict the overall front.  Front-to-back scan order makes the
  * choice deterministic; the supersedable-flow counter makes the
- * common no-duplicate case O(1).
+ * common no-duplicate case O(1).  Removing the victim shifts the
+ * shorter side of the ring, and deleting its keys keeps both tables
+ * at the size of pending_ however long overflow lasts.
  */
 void
 HintIngress::evictForOverflow()
@@ -58,10 +263,7 @@ HintIngress::evictForOverflow()
     bool superseded = false;
     if (supersedableFlows_ > 0) {
         for (std::size_t i = 0; i < pending_.size(); ++i) {
-            const auto it =
-                flowCounts_.find(flowKey(pending_[i].hint));
-            assert(it != flowCounts_.end());
-            if (it->second >= 2) {
+            if (flowCounts_.count(flowKey(pending_[i])) >= 2) {
                 victim = i;
                 superseded = true;
                 break;
@@ -69,19 +271,12 @@ HintIngress::evictForOverflow()
         }
     }
 
-    const wire::ParsedHint &h = pending_[victim].hint;
-    const auto fit = flowCounts_.find(flowKey(h));
-    assert(fit != flowCounts_.end());
-    if (fit->second == 2)
+    const DupKey key = dupKey(pending_[victim]);
+    if (flowCounts_.decrement(key.flow) == 1)
         --supersedableFlows_;
-    if (--fit->second == 0)
-        flowCounts_.erase(fit);
-    const auto dit = dupCounts_.find(dupKey(h));
-    if (dit != dupCounts_.end() && --dit->second == 0)
-        dupCounts_.erase(dit);
+    dupCounts_.decrement(key);
 
-    pending_.erase(pending_.begin() +
-                   static_cast<std::ptrdiff_t>(victim));
+    pending_.erase(victim);
     ++stats_.overflowEvictions;
     if (superseded)
         ++stats_.overflowSuperseded;
@@ -115,8 +310,8 @@ HintIngress::offer(const std::uint8_t *data, std::size_t len,
 
     // Exact duplicates (retransmits) are suppressed, not queued
     // twice.  Not a rejection: the original is still in flight.
-    const auto dup = dupCounts_.find(dupKey(hint));
-    if (dup != dupCounts_.end()) {
+    const DupKey key = dupKey(hint);
+    if (dupCounts_.count(key) != 0) {
         ++stats_.duplicates;
         return wire::Reject::None;
     }
@@ -124,13 +319,9 @@ HintIngress::offer(const std::uint8_t *data, std::size_t len,
     if (pending_.size() >= config_.queueCapacity)
         evictForOverflow();
 
-    Entry entry;
-    entry.hint = hint;
-    entry.stamp = nextStamp_++;
-    pending_.push_back(entry);
-    dupCounts_[dupKey(hint)] = 1;
-    const auto fit = flowCounts_.emplace(flowKey(hint), 0u).first;
-    if (++fit->second == 2)
+    pending_.pushBack(hint);
+    dupCounts_.increment(key);
+    if (flowCounts_.increment(key.flow) == 2)
         ++supersedableFlows_;
     ++stats_.accepted;
     noteDepth();
@@ -157,12 +348,13 @@ HintIngress::drain(sim::Tick now, const Sink &sink)
         ? draining_.size()
         : std::min(config_.drainMax, draining_.size());
 
+    // The emptiness check ends the batch if the sink clear()s.
     std::size_t dispatched = 0;
-    for (; dispatched < limit; ++dispatched) {
-        const Entry entry = draining_.front();
-        draining_.pop_front();
+    for (; dispatched < limit && !draining_.empty(); ++dispatched) {
+        const wire::ParsedHint hint = draining_[0];
+        draining_.popFront();
         ++stats_.drained;
-        if (!sink(entry.hint))
+        if (!sink(hint))
             ++stats_.sinkDrops;
     }
     if (dispatched > 0)

@@ -10,17 +10,25 @@
  * The control loop drains hints in batches from a snapshot, so
  * ingestion never blocks — or reorders — a recompute in flight.
  *
- * Determinism: the queue is plain FIFO storage plus ordered-map
- * bookkeeping; given the same offer sequence it accepts, drops and
- * drains the same hints in the same order regardless of how many
- * worker threads the surrounding sim uses (each rack owns its own
- * ingress, and racks are merged in rack order).
+ * Determinism: the queue is plain FIFO storage (two ring buffers,
+ * pending and draining); the dedup and per-flow bookkeeping are
+ * lookup-only hash tables that are never iterated, so no decision
+ * depends on hash order.  Given the same offer sequence the ingress
+ * accepts, drops and drains the same hints in the same order
+ * regardless of how many worker threads the surrounding sim uses
+ * (each rack owns its own ingress, and racks are merged in rack
+ * order).
  *
  * Drop policy on overflow (oldest-duplicate-first): evict the
  * front-most queued entry belonging to any flow (server, vm, kind)
  * with at least two entries queued — the newer entry supersedes it —
  * otherwise evict the queue front (oldest overall).  Ties are broken
  * by queue position, which is seed-stable.
+ *
+ * Allocation: the rings grow (to at most queueCapacity entries) and
+ * the tables grow (to at most the power of two >= 2 x queueCapacity
+ * slots) only while the queue is deeper than ever before; after
+ * that, offers, evictions and drains allocate nothing.
  */
 
 #ifndef SOC_CORE_HINT_INGRESS_HH
@@ -28,11 +36,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <stdexcept>
-#include <tuple>
+#include <vector>
 
 #include "core/wire.hh"
 #include "sim/time.hh"
@@ -184,18 +190,104 @@ class HintIngress
     void clear();
 
   private:
-    struct Entry {
-        wire::ParsedHint hint;
-        /** Arrival order stamp, for deterministic diagnostics. */
-        std::uint64_t stamp = 0;
-    };
-
     /** Flow identity: hints of one kind for one VM supersede each
      *  other under overflow. */
-    using FlowKey = std::tuple<int, std::int32_t, std::uint8_t>;
+    struct FlowKey {
+        int server = 0;
+        std::int32_t vm = 0;
+        std::uint8_t kind = 0;
+        bool operator==(const FlowKey &) const = default;
+        std::uint64_t hash() const;
+    };
     /** Exact-duplicate identity adds the sequence number. */
-    using DupKey =
-        std::tuple<int, std::int32_t, std::uint8_t, std::uint64_t>;
+    struct DupKey {
+        FlowKey flow;
+        std::uint64_t seq = 0;
+        bool operator==(const DupKey &) const = default;
+        std::uint64_t hash() const;
+    };
+
+    /**
+     * Lookup-only count table: open addressing with linear probing
+     * over a power-of-two slot array kept at most half full.  A slot
+     * is occupied while its epoch equals the table's, so clear() is
+     * one increment; erasing a key backward-shifts its probe run, so
+     * the table holds exactly the live keys (no tombstones).  Never
+     * iterated: keys compare exactly and the hash only picks where
+     * to look, so it cannot influence any result.
+     */
+    template <class Key>
+    class CountTable
+    {
+      public:
+        /** Count for @p key; 0 when absent. */
+        std::uint32_t count(const Key &key) const;
+        /** Add one to @p key's count (inserting it); the new count. */
+        std::uint32_t increment(const Key &key);
+        /** Take one from @p key's count, erasing it at zero; the new
+         *  count (0 also when it was absent). */
+        std::uint32_t decrement(const Key &key);
+        /** Forget every key in O(1). */
+        void clear();
+
+      private:
+        struct Slot {
+            Key key;
+            std::uint32_t count = 0;
+            std::uint32_t epoch = 0;
+        };
+
+        /** Index of @p key's slot, or of the empty slot ending its
+         *  probe run. */
+        std::size_t probe(const Key &key) const;
+        bool occupied(std::size_t i) const
+        {
+            return slots_[i].epoch == epoch_;
+        }
+        void grow();
+
+        std::vector<Slot> slots_;
+        std::size_t live_ = 0;
+        std::uint32_t epoch_ = 1;
+    };
+
+    /** FIFO ring of hints; grows by doubling up to a fixed limit and
+     *  keeps its buffer across clear() and swap(). */
+    class Ring
+    {
+      public:
+        explicit Ring(std::size_t limit) : limit_(limit) {}
+
+        std::size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+        const wire::ParsedHint &operator[](std::size_t i) const
+        {
+            return buf_[wrap(head_ + i)];
+        }
+
+        void pushBack(const wire::ParsedHint &hint);
+        void popFront();
+        /** Remove entry @p i, shifting the shorter side (as
+         *  std::deque::erase does). */
+        void erase(std::size_t i);
+        void clear();
+        void swap(Ring &other) noexcept;
+
+      private:
+        std::size_t wrap(std::size_t i) const
+        {
+            return i >= buf_.size() ? i - buf_.size() : i;
+        }
+        wire::ParsedHint &at(std::size_t i)
+        {
+            return buf_[wrap(head_ + i)];
+        }
+
+        std::vector<wire::ParsedHint> buf_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+        std::size_t limit_;
+    };
 
     static FlowKey flowKey(const wire::ParsedHint &h);
     static DupKey dupKey(const wire::ParsedHint &h);
@@ -207,19 +299,16 @@ class HintIngress
     IngressStats stats_;
 
     /** Hints accepted but not yet snapshotted for drain. */
-    std::deque<Entry> pending_;
+    Ring pending_;
     /** The drain-in-progress snapshot. */
-    std::deque<Entry> draining_;
+    Ring draining_;
 
-    /** Exact-duplicate suppression over pending_ only (ordered
-     *  containers per DET-003). */
-    std::map<DupKey, std::uint32_t> dupCounts_;
-    /** Entries per flow over pending_, for O(log n) drop policy. */
-    std::map<FlowKey, std::uint32_t> flowCounts_;
+    /** Exact-duplicate suppression over pending_ only. */
+    CountTable<DupKey> dupCounts_;
+    /** Entries per flow over pending_, for the drop policy. */
+    CountTable<FlowKey> flowCounts_;
     /** Flows with >= 2 pending entries (supersede candidates). */
     std::size_t supersedableFlows_ = 0;
-
-    std::uint64_t nextStamp_ = 0;
 };
 
 } // namespace core

@@ -9,7 +9,6 @@
 #define SOC_CORE_MESSAGES_HH
 
 #include <cstdint>
-#include <string>
 
 #include "core/profile_template.hh"
 #include "power/frequency.hh"
@@ -76,6 +75,41 @@ struct OverclockRequest {
     int priority = 1;
 };
 
+/** Why the sOA granted or denied an OverclockRequest. */
+enum class AdmissionReason {
+    None,                        ///< not decided yet
+    Ok,                          ///< power and lifetime checks pass
+    Extended,                    ///< already granted: extended
+    FlapHysteresis,              ///< inside the flap holdoff window
+    PowerBudgetInsufficient,     ///< power budget cannot absorb it
+    OverclockBudgetInsufficient, ///< schedule reservation failed
+    OverclockBudgetExhausted,    ///< lifetime cannot sustain it
+    OracleRackWouldCap,          ///< Central: rack would cap
+    OracleFits,                  ///< Central: rack has headroom
+};
+
+/** Printable name of @p reason, for logs. */
+inline const char *
+admissionReasonName(AdmissionReason reason)
+{
+    switch (reason) {
+    case AdmissionReason::None: return "none";
+    case AdmissionReason::Ok: return "ok";
+    case AdmissionReason::Extended: return "extended";
+    case AdmissionReason::FlapHysteresis: return "flap hysteresis";
+    case AdmissionReason::PowerBudgetInsufficient:
+        return "power budget insufficient";
+    case AdmissionReason::OverclockBudgetInsufficient:
+        return "overclock budget insufficient";
+    case AdmissionReason::OverclockBudgetExhausted:
+        return "overclock budget exhausted";
+    case AdmissionReason::OracleRackWouldCap:
+        return "oracle: rack would cap";
+    case AdmissionReason::OracleFits: return "oracle: fits";
+    }
+    return "unknown";
+}
+
 /** sOA's answer to an OverclockRequest. */
 struct AdmissionDecision {
     bool granted = false;
@@ -83,8 +117,8 @@ struct AdmissionDecision {
     power::FreqMHz grantedMHz = power::kTurboMHz;
     /** Time at which the grant expires and must be re-admitted. */
     sim::Tick grantedUntil = 0;
-    /** Human-readable denial/grant reason for logs and tests. */
-    std::string reason;
+    /** Why it was granted or denied. */
+    AdmissionReason reason = AdmissionReason::None;
 };
 
 /**

@@ -155,7 +155,7 @@ ServerOverclockingAgent::requestOverclock(
         decision.grantedUntil = std::max(it->second.grantedUntil,
                                          now + request.duration);
         it->second.grantedUntil = decision.grantedUntil;
-        decision.reason = "extended";
+        decision.reason = AdmissionReason::Extended;
         return decision;
     }
 
@@ -171,7 +171,7 @@ ServerOverclockingAgent::requestOverclock(
             ++stats_.flapDenied;
             AdmissionDecision denied;
             denied.granted = false;
-            denied.reason = "flap hysteresis";
+            denied.reason = AdmissionReason::FlapHysteresis;
             return denied;
         }
     }
@@ -185,12 +185,12 @@ ServerOverclockingAgent::requestOverclock(
         if (oracleRack_->powerWatts() + extra >
             oracleRack_->limitWatts()) {
             decision.granted = false;
-            decision.reason = "oracle: rack would cap";
+            decision.reason = AdmissionReason::OracleRackWouldCap;
         } else {
             decision.granted = true;
             decision.grantedMHz = request.desiredMHz;
             decision.grantedUntil = now + request.duration;
-            decision.reason = "oracle: fits";
+            decision.reason = AdmissionReason::OracleFits;
         }
     } else {
         AdmissionInputs in;
@@ -208,7 +208,8 @@ ServerOverclockingAgent::requestOverclock(
         recentDenied_[request.groupId] = {request.cores,
                                           now + 2 *
                                               config_.controlPeriod};
-        if (decision.reason == "power budget insufficient") {
+        if (decision.reason ==
+            AdmissionReason::PowerBudgetInsufficient) {
             powerDenialUntil_ = now + 2 * config_.warningWindow;
         }
         return decision;

@@ -8,6 +8,18 @@
  * experiments (Figs. 12-14).  Both need deterministic ordering, event
  * cancellation (e.g. a scheduled scale-down cancelled by a new load
  * spike), and periodic events (control-loop ticks).
+ *
+ * Storage (DESIGN.md §3): a binary heap of (when, seq, slot,
+ * generation) records held by value, over a pooled array of handler
+ * slots threaded by a free list.  An EventId names a slot and the
+ * generation it had when the event was scheduled; running or
+ * cancelling an event bumps the slot's generation, so a stale id can
+ * never cancel the slot's next occupant, and a heap record whose
+ * generation no longer matches is a cancelled event, discarded when
+ * it reaches the head.  Once both arrays have grown to the peak
+ * number of pending events, scheduling allocates nothing — provided
+ * the handler fits std::function's inline buffer (16 bytes in
+ * libstdc++, e.g. two pointers).
  */
 
 #ifndef SOC_SIM_EVENT_QUEUE_HH
@@ -15,8 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hh"
@@ -26,7 +36,11 @@ namespace soc
 namespace sim
 {
 
-/** Opaque handle identifying a scheduled event, used to cancel it. */
+/**
+ * Opaque handle identifying a scheduled event, used to cancel it:
+ * the slot index in the low 32 bits, its generation (never 0) in
+ * the high 32.
+ */
 using EventId = std::uint64_t;
 
 /** Sentinel returned when scheduling fails / for "no event". */
@@ -42,7 +56,6 @@ class EventQueue
     using Handler = std::function<void(Tick)>;
 
     EventQueue() = default;
-    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -64,7 +77,9 @@ class EventQueue
     /**
      * Cancel a previously scheduled event.
      *
-     * @return true if the event was pending and is now cancelled.
+     * @return true if the event was pending and is now cancelled;
+     *         false for an event that already ran or was cancelled,
+     *         even once its slot holds a later event.
      */
     bool cancel(EventId id);
 
@@ -92,40 +107,48 @@ class EventQueue
     std::uint64_t executedCount() const { return executed_; }
 
   private:
-    struct Entry {
+    /** Heap record; ordered by (when, seq), so FIFO within a tick. */
+    struct Record {
         Tick when;
-        std::uint64_t seq; // tie-break: FIFO within a tick
-        EventId id;
+        std::uint64_t seq;
+        std::uint32_t slot;
+        std::uint32_t generation;
+    };
+
+    /** Pooled handler storage; a free slot's generation has already
+     *  moved past every id issued for it. */
+    struct Slot {
         Handler handler;
-        bool cancelled = false;
+        std::uint32_t generation = 1;
+        std::uint32_t nextFree = kNoSlot;
     };
 
-    struct EntryCompare {
-        bool
-        operator()(const Entry *a, const Entry *b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            return a->seq > b->seq;
-        }
-    };
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-    /** Pop cancelled entries off the heap head. */
+    /** A record is live while its slot still has its generation. */
+    bool live(const Record &r) const
+    {
+        return slots_[r.slot].generation == r.generation;
+    }
+
+    /** Retire @p slot's current generation and return it to the
+     *  free list (handler already moved out or dropped). */
+    void release(std::uint32_t slot);
+
+    /** Pop cancelled records off the heap head. */
     void skipCancelled();
+
+    /** Remove and return the heap head. */
+    Record popHead();
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    EventId nextId_ = 1;
     std::uint64_t executed_ = 0;
     std::size_t pendingCount_ = 0;
 
-    std::priority_queue<Entry *, std::vector<Entry *>, EntryCompare>
-        heap_;
-    // Pending entries by id; cancellation flags the entry in place and
-    // the heap lazily discards it when it reaches the head.  Lookup
-    // only — execution order comes from the heap, never from hash
-    // iteration.  soclint:allow(DET-003)
-    std::unordered_map<EventId, Entry *> live_;
+    std::vector<Record> heap_;
+    std::vector<Slot> slots_;
+    std::uint32_t freeHead_ = kNoSlot;
 };
 
 } // namespace sim

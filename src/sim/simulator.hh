@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 
 #include "sim/event_queue.hh"
 #include "sim/time.hh"

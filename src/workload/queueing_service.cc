@@ -85,6 +85,7 @@ QueueingService::InstanceId
 QueueingService::addInstance(power::FreqMHz freq)
 {
     auto inst = std::make_unique<Instance>();
+    inst->owner = this;
     inst->id = nextInstance_++;
     inst->freq = freq;
     instances_.push_back(std::move(inst));
@@ -253,10 +254,9 @@ QueueingService::beginService(Instance &inst, sim::Tick arrival,
     const double service_ms = sampleServiceMs(inst.freq);
     const auto service = std::max<sim::Tick>(
         1, static_cast<sim::Tick>(service_ms * sim::kMillisecond));
-    Instance *inst_ptr = &inst;
     sim_.queue().scheduleAfter(service,
-                               [this, inst_ptr, arrival](sim::Tick t) {
-        onCompletion(inst_ptr, arrival, t);
+                               [inst = &inst, arrival](sim::Tick t) {
+        inst->owner->onCompletion(inst, arrival, t);
     });
 }
 

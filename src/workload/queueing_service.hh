@@ -154,6 +154,10 @@ class QueueingService
 
   private:
     struct Instance {
+        /** Back-pointer, so a completion event captures only
+         *  (instance, arrival): 16 bytes, inside std::function's
+         *  inline buffer (no heap block per request). */
+        QueueingService *owner;
         InstanceId id;
         power::FreqMHz freq;
         int busy = 0;

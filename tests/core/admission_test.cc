@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/admission.hh"
 
 using namespace soc;
@@ -46,6 +49,7 @@ TEST(Admission, GrantsWithAmpleBudget)
     const auto decision = admission.decide(request(), in);
     EXPECT_TRUE(decision.granted);
     EXPECT_EQ(decision.grantedUntil, 30 * kMinute);
+    EXPECT_EQ(decision.reason, AdmissionReason::Ok);
 }
 
 TEST(Admission, RejectsWhenPowerBudgetTight)
@@ -60,7 +64,8 @@ TEST(Admission, RejectsWhenPowerBudgetTight)
     in.lifetime = &lifetime;
     const auto decision = admission.decide(request(), in);
     EXPECT_FALSE(decision.granted);
-    EXPECT_EQ(decision.reason, "power budget insufficient");
+    EXPECT_EQ(decision.reason,
+              AdmissionReason::PowerBudgetInsufficient);
 }
 
 TEST(Admission, ExplorationBonusUnblocksPower)
@@ -122,7 +127,8 @@ TEST(Admission, ScheduleRejectedWhenLifetimeShort)
     const auto decision =
         admission.decide(request(32, TriggerKind::Schedule), in);
     EXPECT_FALSE(decision.granted);
-    EXPECT_EQ(decision.reason, "overclock budget insufficient");
+    EXPECT_EQ(decision.reason,
+              AdmissionReason::OverclockBudgetInsufficient);
 }
 
 TEST(Admission, MetricsGrantTruncatedByLifetime)
@@ -158,7 +164,8 @@ TEST(Admission, MetricsRejectedWhenLifetimeExhausted)
     in.lifetime = &lifetime;
     const auto decision = admission.decide(request(), in);
     EXPECT_FALSE(decision.granted);
-    EXPECT_EQ(decision.reason, "overclock budget exhausted");
+    EXPECT_EQ(decision.reason,
+              AdmissionReason::OverclockBudgetExhausted);
 }
 
 TEST(Admission, LookAheadCutsGrantAtPredictedViolation)
@@ -211,4 +218,20 @@ TEST(Admission, NullBudgetSkipsPowerCheck)
     in.budget = nullptr; // bootstrap: no assignment yet
     in.lifetime = &lifetime;
     EXPECT_TRUE(admission.decide(request(), in).granted);
+}
+
+TEST(Admission, ReasonNamesAreDistinct)
+{
+    // Logs print reasons by name: every reason has its own.
+    std::set<std::string> names;
+    for (int r = 0;
+         r <= static_cast<int>(AdmissionReason::OracleFits); ++r)
+        names.insert(
+            admissionReasonName(static_cast<AdmissionReason>(r)));
+    EXPECT_EQ(names.size(),
+              static_cast<std::size_t>(AdmissionReason::OracleFits) + 1);
+    EXPECT_EQ(names.count("unknown"), 0u);
+    EXPECT_STREQ(
+        admissionReasonName(AdmissionReason::PowerBudgetInsufficient),
+        "power budget insufficient");
 }

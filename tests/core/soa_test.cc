@@ -128,7 +128,7 @@ TEST(Soa, ReRequestExtendsGrant)
     const auto second = fx.soa->requestOverclock(
         fx.makeRequest(30 * kMinute), 5 * kMinute);
     EXPECT_TRUE(second.granted);
-    EXPECT_EQ(second.reason, "extended");
+    EXPECT_EQ(second.reason, AdmissionReason::Extended);
     EXPECT_GT(second.grantedUntil, first.grantedUntil);
 }
 
@@ -466,7 +466,7 @@ TEST(Soa, ExtensionDoesNotDoubleCountRequestedCores)
             const auto d =
                 fx.soa->requestOverclock(fx.makeRequest(sim::kHour),
                                          t);
-            ASSERT_EQ(d.reason, "extended");
+            ASSERT_EQ(d.reason, AdmissionReason::Extended);
         }
         fx.soa->tick(t);
     }

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
+using soc::sim::EventId;
 using soc::sim::EventQueue;
 using soc::sim::Tick;
 
@@ -179,4 +185,217 @@ TEST(EventQueue, CancelFromWithinHandler)
     q.schedule(10, [&](Tick) { q.cancel(second); });
     q.run();
     EXPECT_FALSE(second_ran);
+}
+
+TEST(EventQueue, StaleIdNeverCancelsSlotsNextEvent)
+{
+    EventQueue q;
+    bool first_ran = false;
+    bool second_ran = false;
+    const EventId first = q.schedule(1, [&](Tick) { first_ran = true; });
+    ASSERT_TRUE(q.cancel(first));
+    // The freed slot is reused at once; the old id must not reach it.
+    const EventId second =
+        q.schedule(2, [&](Tick) { second_ran = true; });
+    EXPECT_NE(first, second);
+    EXPECT_FALSE(q.cancel(first));
+    EXPECT_EQ(q.size(), 1u);
+    q.run();
+    EXPECT_FALSE(first_ran);
+    EXPECT_TRUE(second_ran);
+    EXPECT_FALSE(q.cancel(second));
+    EXPECT_FALSE(q.cancel(soc::sim::kInvalidEvent));
+}
+
+namespace
+{
+
+/**
+ * Reference model: the (when, seq)-ordered queue the slot pool
+ * replaced, with sequential ids and cancellation by id lookup.
+ */
+class ReferenceQueue
+{
+  public:
+    using Handler = std::function<void(Tick)>;
+
+    Tick now() const { return now_; }
+    std::size_t size() const { return events_.size(); }
+    bool empty() const { return events_.empty(); }
+    std::uint64_t executedCount() const { return executed_; }
+
+    EventId
+    schedule(Tick when, Handler handler)
+    {
+        const EventId id = nextId_++;
+        const Key key{when, nextSeq_++};
+        events_.emplace(key, std::make_pair(id, std::move(handler)));
+        keys_.emplace(id, key);
+        return id;
+    }
+
+    bool
+    cancel(EventId id)
+    {
+        const auto it = keys_.find(id);
+        if (it == keys_.end())
+            return false;
+        events_.erase(it->second);
+        keys_.erase(it);
+        return true;
+    }
+
+    bool
+    step()
+    {
+        if (events_.empty())
+            return false;
+        const auto head = events_.begin();
+        now_ = head->first.first;
+        Handler handler = std::move(head->second.second);
+        keys_.erase(head->second.first);
+        events_.erase(head);
+        ++executed_;
+        handler(now_);
+        return true;
+    }
+
+    void
+    runUntil(Tick until)
+    {
+        while (!events_.empty() && events_.begin()->first.first <= until)
+            step();
+        if (now_ < until)
+            now_ = until;
+    }
+
+    void
+    run()
+    {
+        while (step()) {
+        }
+    }
+
+  private:
+    using Key = std::pair<Tick, std::uint64_t>;
+    Tick now_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    EventId nextId_ = 1;
+    std::uint64_t executed_ = 0;
+    std::map<Key, std::pair<EventId, Handler>> events_;
+    std::map<EventId, Key> keys_;
+};
+
+/**
+ * Drives one queue.  Events are numbered in scheduling order, which
+ * both queues share as long as they agree; event k's handler acts
+ * on a script derived from (seed, k) alone: it may cancel an
+ * earlier event (pending, run or cancelled) and schedule up to two
+ * more, some at its own tick.
+ */
+template <class Queue>
+struct Driver {
+    static constexpr std::size_t kMaxEvents = 3000;
+
+    explicit Driver(std::uint64_t seed_) : seed(seed_) {}
+
+    void
+    add(Tick when)
+    {
+        if (ids.size() >= kMaxEvents)
+            return;
+        const std::size_t index = ids.size();
+        // Two words: the handler stays in std::function's inline
+        // buffer, as the simulators' handlers do.
+        ids.push_back(queue.schedule(
+            when, [this, index](Tick t) { fire(index, t); }));
+    }
+
+    void
+    cancel(std::size_t index)
+    {
+        // Does a later event hold this id's slot (its low 32 bits)?
+        for (std::size_t j = index + 1; j < ids.size(); ++j) {
+            if ((ids[j] & 0xffffffffu) == (ids[index] & 0xffffffffu)) {
+                ++reusedSlotCancels;
+                break;
+            }
+        }
+        cancels.push_back(queue.cancel(ids[index]));
+    }
+
+    void
+    fire(std::size_t index, Tick t)
+    {
+        log.emplace_back(index, t);
+        soc::sim::Rng rng(seed * 1000003u + index);
+        if (rng.chance(0.3))
+            cancel(static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(ids.size()) - 1)));
+        const auto children = rng.uniformInt(0, 2);
+        for (std::int64_t c = 0; c < children; ++c)
+            if (rng.chance(0.35))
+                add(t + rng.uniformInt(0, 3));
+    }
+
+    std::uint64_t seed;
+    Queue queue;
+    std::vector<EventId> ids;
+    std::vector<std::pair<std::size_t, Tick>> log;
+    std::vector<bool> cancels;
+    std::size_t reusedSlotCancels = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesWhenSeqReferenceOnRandomSequences)
+{
+    std::size_t stale_reused = 0;
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        Driver<EventQueue> pooled(seed);
+        Driver<ReferenceQueue> reference(seed);
+        soc::sim::Rng rng(seed);
+        for (int op = 0; op < 300; ++op) {
+            const double r = rng.uniform();
+            if (r < 0.45) {
+                const Tick when =
+                    pooled.queue.now() + rng.uniformInt(0, 20);
+                pooled.add(when);
+                reference.add(when);
+            } else if (r < 0.65) {
+                if (pooled.ids.empty())
+                    continue;
+                const auto index = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          pooled.ids.size()) - 1));
+                pooled.cancel(index);
+                reference.cancel(index);
+            } else if (r < 0.9) {
+                ASSERT_EQ(pooled.queue.step(), reference.queue.step());
+            } else {
+                const Tick until =
+                    pooled.queue.now() + rng.uniformInt(0, 10);
+                pooled.queue.runUntil(until);
+                reference.queue.runUntil(until);
+            }
+            ASSERT_EQ(pooled.queue.now(), reference.queue.now());
+            ASSERT_EQ(pooled.queue.size(), reference.queue.size());
+            ASSERT_EQ(pooled.queue.empty(), reference.queue.empty());
+            ASSERT_EQ(pooled.queue.executedCount(),
+                      reference.queue.executedCount());
+            ASSERT_EQ(pooled.log, reference.log)
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(pooled.cancels, reference.cancels)
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(pooled.ids.size(), reference.ids.size());
+        }
+        pooled.queue.run();
+        reference.queue.run();
+        ASSERT_EQ(pooled.log, reference.log) << "seed " << seed;
+        ASSERT_EQ(pooled.queue.executedCount(),
+                  reference.queue.executedCount());
+        stale_reused += pooled.reusedSlotCancels;
+    }
+    // Many cancels targeted an id whose slot a later event held.
+    EXPECT_GT(stale_reused, 100u);
 }
