@@ -1,7 +1,6 @@
 #include "workload/trace_generator.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "sim/quant.hh"
@@ -27,6 +26,24 @@ checkedConfig(const TraceConfig &cfg)
         throw std::invalid_argument(
             "TraceConfig: interval must be positive");
     return cfg;
+}
+
+/** Fail closed on a mix no server can host: a VM without a core, or
+ *  more cores than the server has.  Runs before any draw, so a
+ *  rejected mix leaves the generator's stream untouched. */
+void
+checkMix(const std::vector<VmMix> &mix, const power::PowerModel &model)
+{
+    std::int64_t used_cores = 0;
+    for (const auto &vm : mix) {
+        if (vm.cores < 1)
+            throw std::invalid_argument(
+                "VmMix: every VM needs at least one core");
+        used_cores += vm.cores;
+    }
+    if (used_cores > model.params().cores)
+        throw std::invalid_argument(
+            "VmMix: VMs over-subscribe the server's cores");
 }
 
 } // namespace
@@ -220,16 +237,14 @@ ServerTrace
 TraceGenerator::serverTrace(const std::vector<VmMix> &mix,
                             const power::PowerModel &model)
 {
+    checkMix(mix, model);
     ServerTrace trace;
     trace.mix = mix;
 
-    int used_cores = 0;
     for (const auto &vm : mix) {
         trace.vmUtil.push_back(utilSeries(vm.archetype));
         trace.vmTurboWatts.emplace_back(cfg_.start, cfg_.interval);
-        used_cores += vm.cores;
     }
-    assert(used_cores <= model.params().cores);
 
     const std::size_t slots = trace.vmUtil.empty()
         ? 0
@@ -261,21 +276,19 @@ ServerTraceStream
 TraceGenerator::serverTraceStream(const std::vector<VmMix> &mix,
                                  const power::PowerModel &model)
 {
+    checkMix(mix, model);
     ServerTraceStream stream;
     stream.mix_ = mix;
     stream.model_ = &model;
     stream.cursors_.reserve(mix.size());
 
-    int used_cores = 0;
     for (const auto &vm : mix) {
         // One split per VM in mix order: the same parent-stream
         // consumption as serverTrace's utilSeries calls, so a run
         // may mix the two APIs and stay bit-identical.
         stream.cursors_.emplace_back(rng_.split(), vm.archetype,
                                      cfg_);
-        used_cores += vm.cores;
     }
-    assert(used_cores <= model.params().cores);
     return stream;
 }
 
@@ -360,7 +373,8 @@ TraceGenerator::mlHeavyMix(int server_cores)
 telemetry::TimeSeries
 TraceGenerator::rackPower(const std::vector<ServerTrace> &servers)
 {
-    assert(!servers.empty());
+    if (servers.empty())
+        throw std::invalid_argument("rackPower: no servers");
     std::vector<const telemetry::TimeSeries *> parts;
     parts.reserve(servers.size());
     for (const auto &server : servers)

@@ -204,7 +204,10 @@ class TraceGenerator
 
     /**
      * Full telemetry for a server hosting @p mix, powered per
-     * @p model (power evaluated at max turbo).
+     * @p model (power evaluated at max turbo).  Throws
+     * std::invalid_argument, in every build type and before drawing
+     * anything, when a VM has fewer than one core or the mix needs
+     * more cores than the server has.
      */
     ServerTrace serverTrace(const std::vector<VmMix> &mix,
                             const power::PowerModel &model);
@@ -217,6 +220,7 @@ class TraceGenerator
      * another called serverTrace leaves this generator in an
      * identical state, and the streamed samples are bit-identical to
      * the materialized ones.  @p model must outlive the stream.
+     * Rejects the mixes serverTrace rejects, the same way.
      */
     ServerTraceStream
     serverTraceStream(const std::vector<VmMix> &mix,
@@ -234,7 +238,8 @@ class TraceGenerator
 
     /**
      * Sum of per-server power traces: the rack-level power series
-     * used by the rack template experiments.
+     * used by the rack template experiments.  Throws
+     * std::invalid_argument when @p servers is empty.
      */
     static telemetry::TimeSeries
     rackPower(const std::vector<ServerTrace> &servers);

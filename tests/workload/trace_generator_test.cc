@@ -501,3 +501,49 @@ TEST(TraceGenerator, QuantizedStreamPastHorizonThrowsAndLeavesStream)
     EXPECT_EQ(util, twin_util);
     EXPECT_EQ(watts, twin_watts);
 }
+
+TEST(TraceGenerator, RejectsUnhostableMixesAndLeavesStream)
+{
+    // Fail closed in every build type, before any draw: a mix that
+    // over-subscribes its server or holds a VM without a core is
+    // rejected, and the generator then streams exactly what a fresh
+    // generator with the same seed streams.
+    const power::PowerModel model;
+    const int cores = model.params().cores;
+    TraceConfig cfg = shortConfig();
+    cfg.end = 2 * sim::kDay;
+    TraceGenerator gen(31, cfg);
+    TraceGenerator fresh(31, cfg);
+
+    const std::vector<std::vector<VmMix>> bad = {
+        {{serviceA(), cores}, {serviceA(), 1}},
+        {{serviceA(), 4}, {serviceA(), 0}},
+        {{serviceA(), -2}},
+    };
+    for (const auto &mix : bad) {
+        EXPECT_THROW(gen.serverTrace(mix, model),
+                     std::invalid_argument);
+        EXPECT_THROW(gen.serverTraceStream(mix, model),
+                     std::invalid_argument);
+    }
+
+    const std::vector<VmMix> good = {{serviceA(), cores - 8},
+                                     {serviceA(), 8}};
+    auto stream = gen.serverTraceStream(good, model);
+    auto twin = fresh.serverTraceStream(good, model);
+    const std::size_t stride = stream.vms();
+    const std::size_t slots = 2 * sim::kSlotsPerDay;
+    std::vector<double> util(slots * stride);
+    std::vector<double> watts(slots * stride);
+    std::vector<double> twin_util(slots * stride);
+    std::vector<double> twin_watts(slots * stride);
+    stream.generate(slots, util.data(), watts.data(), stride);
+    twin.generate(slots, twin_util.data(), twin_watts.data(), stride);
+    EXPECT_EQ(util, twin_util);
+    EXPECT_EQ(watts, twin_watts);
+}
+
+TEST(TraceGenerator, RackPowerRejectsEmptyRack)
+{
+    EXPECT_THROW(TraceGenerator::rackPower({}), std::invalid_argument);
+}
