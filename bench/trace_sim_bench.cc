@@ -22,7 +22,9 @@
  *     alternation, so host-speed drift during the run cannot move
  *     the ratio.
  *  3. Hierarchical budget tier vs the flat zone split.
- *  4. Hint-ingestion throughput under the standard storm.
+ *  4. Hint-ingestion throughput under the standard storm, and on
+ *     the overflow path: a hint flood twice the default 4,096-entry
+ *     queue per step, so half of every step's hints are evicted.
  *  5. Batch generation against its scalar references, both gated
  *     at a floor so the batch paths never silently regress to
  *     scalar cost: Rng::normalFill against the scalar normal() loop
@@ -657,6 +659,15 @@ main(int argc, char **argv)
     const auto ingress_bench = benchutil::runIngressStorm(
         storm_cfg, ingress_cfg, /*servers=*/8, /*vms_per_server=*/16,
         /*steps=*/2000);
+    // The overflow path, gated as overflow_hints_per_s: 8,192 flood
+    // frames a step over 128 flows into the default capacity, so
+    // every offer past the 4,096th evicts (oldest-duplicate-first).
+    // An eviction that costs O(queue) instead of O(1) — a vector
+    // erase at the front, say — collapses this figure.
+    const auto overflow_bench = benchutil::runIngressStorm(
+        sim::HintStormConfig::only(sim::StormKind::HintFlood, 1024.0),
+        ingress_cfg, /*servers=*/8, /*vms_per_server=*/16,
+        /*steps=*/96);
 
     // 5. Batch generation against its scalar references (gated
     //    speedups).
@@ -703,7 +714,12 @@ main(int argc, char **argv)
                  "    \"offered\": %llu,\n"
                  "    \"accepted\": %llu,\n"
                  "    \"parse_rejects\": %llu,\n"
-                 "    \"hints_per_s\": %.0f\n"
+                 "    \"hints_per_s\": %.0f,\n"
+                 "    \"overflow_storm\": \"hint_flood\",\n"
+                 "    \"overflow_capacity\": %zu,\n"
+                 "    \"overflow_offered\": %llu,\n"
+                 "    \"overflow_evictions\": %llu,\n"
+                 "    \"overflow_hints_per_s\": %.0f\n"
                  "  },\n"
                  "  \"gen_batch_vs_scalar\": {\n"
                  "    \"gen_scalar_normals_per_s\": %.0f,\n"
@@ -727,7 +743,12 @@ main(int argc, char **argv)
                      ingress_bench.stats.accepted),
                  static_cast<unsigned long long>(
                      ingress_bench.stats.parseRejects),
-                 ingress_bench.hintsPerS, gen_batch.scalarPerS,
+                 ingress_bench.hintsPerS, ingress_cfg.queueCapacity,
+                 static_cast<unsigned long long>(
+                     overflow_bench.offered),
+                 static_cast<unsigned long long>(
+                     overflow_bench.stats.overflowEvictions),
+                 overflow_bench.hintsPerS, gen_batch.scalarPerS,
                  gen_batch.batchPerS, gen_batch.speedup,
                  shape_fill.kernelPerS, shape_fill.fillPerS,
                  shape_fill.speedup);
@@ -739,13 +760,15 @@ main(int argc, char **argv)
                 "recompute_us_1w_min=%.2f recompute_us_6w_min=%.2f "
                 "ratio=%.3f flat_zone_split_us=%.2f "
                 "hier_incremental_us=%.2f hints_per_s=%.0f "
+                "overflow_hints_per_s=%.0f "
                 "gen_batch_speedup=%.3f shape_fill_speedup=%.3f "
                 "paper_racks_per_s=%.1f paper_peak_rss_mb=%.1f "
                 "-> %s\n",
                 wall_s, result.genSeconds, result.simSeconds,
                 racks_per_s, lat_1w.minUs, lat_6w.minUs, ratio,
                 flat_us, hier_us, ingress_bench.hintsPerS,
-                gen_batch.speedup, shape_fill.speedup,
+                overflow_bench.hintsPerS, gen_batch.speedup,
+                shape_fill.speedup,
                 paper.racksPerS, paper.peakRssMb,
                 args.outPath);
     return 0;
