@@ -1,6 +1,6 @@
 #!/bin/sh
-# Performance check: build the bench targets and refresh
-# BENCH_trace_sim.json at the repo root (simulator replay throughput,
+# Performance check: build the bench targets, write
+# BENCH_trace_sim.json into the build dir (simulator replay throughput,
 # gOA recompute latency at 1-week vs 6-week telemetry horizons, the
 # hierarchical budget tier, hint-ingestion throughput under the
 # standard adversarial storm, and the 7,104-rack paper-scale
@@ -47,6 +47,10 @@
 #    per-rack split scratch made it 2.22), and its trace generation
 #    must stay cheaper than its replay (paper_gen_s < paper_sim_s),
 #    as at paper scale.
+# Once every gate passes, the file is copied over the committed
+# BENCH_trace_sim.json at the repo root, but only when it was built
+# from a clean tree: a paper_commit ending in "-dirty" names a
+# commit the figures did not come from.
 # Usage: scripts/bench_check.sh [builddir]
 set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -63,13 +67,14 @@ SIXWEEK_SLICE_MB_PER_RACK_MAX=2.1
 cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j "$(nproc)" \
     --target bench_trace_sim bench_micro_primitives
-"$BUILD/bench/bench_trace_sim" "$ROOT/BENCH_trace_sim.json"
+OUT="$BUILD/BENCH_trace_sim.json"
+"$BUILD/bench/bench_trace_sim" "$OUT"
 
 # Parse fail-closed: an empty extraction (field renamed, malformed
 # JSON) must fail the gate rather than vacuously pass it.  The
 # optional second argument names another JSON file to read.
 extract() {
-    FILE="${2:-$ROOT/BENCH_trace_sim.json}"
+    FILE="${2:-$OUT}"
     VALUE=$(sed -n "s/.*\"$1\": \([0-9.]*\).*/\1/p" "$FILE")
     if [ -z "$VALUE" ]; then
         echo "FAIL: field '$1' missing from $FILE" >&2
@@ -203,6 +208,21 @@ awk "BEGIN { exit !($SLICE_GEN_S < $SLICE_SIM_S) }" || {
          "(gen_s >= sim_s)" >&2
     exit 1
 }
+
+# Refresh the committed figures only from a clean tree.
+COMMIT=$(sed -n 's/.*"paper_commit": "\([^"]*\)".*/\1/p' "$OUT")
+if [ -z "$COMMIT" ]; then
+    echo "FAIL: field 'paper_commit' missing from $OUT" >&2
+    exit 1
+fi
+case "$COMMIT" in
+  *-dirty)
+    echo "not refreshing $ROOT/BENCH_trace_sim.json: $OUT was" \
+         "built from a dirty tree ($COMMIT)" ;;
+  *)
+    cp "$OUT" "$ROOT/BENCH_trace_sim.json"
+    echo "refreshed $ROOT/BENCH_trace_sim.json ($COMMIT)" ;;
+esac
 
 # Microbenchmarks of the underlying primitives (informational).
 "$BUILD/bench/bench_micro_primitives" \

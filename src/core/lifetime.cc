@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace soc
 {
@@ -61,9 +62,16 @@ OverclockBudget::OverclockBudget(sim::Tick epoch, double fraction,
                                  int cores, double carryover_cap)
     : epoch_(epoch), fraction_(fraction)
 {
-    assert(epoch_ > 0);
-    assert(fraction_ >= 0.0 && fraction_ <= 1.0);
-    assert(cores > 0);
+    // A zero epoch divides by zero at the first roll; a fraction
+    // outside [0, 1] (or NaN) is an allowance no core can have.
+    if (epoch_ <= 0)
+        throw std::invalid_argument("OverclockBudget: epoch must be > 0");
+    if (!(fraction_ >= 0.0 && fraction_ <= 1.0)) {
+        throw std::invalid_argument(
+            "OverclockBudget: fraction must be in [0, 1]");
+    }
+    if (cores <= 0)
+        throw std::invalid_argument("OverclockBudget: cores must be > 0");
     allowance_ = static_cast<sim::Tick>(
         fraction_ * static_cast<double>(epoch_) * cores);
     carryCap_ = static_cast<sim::Tick>(
@@ -147,18 +155,23 @@ OverclockBudget::timeToExhaustion(sim::Tick now, double burn_rate)
 }
 
 WearJournal::WearJournal(int cores, sim::Tick epoch_len)
-    : epochLen_(epoch_len), coreUsedLatest_(cores, 0)
+    : epochLen_(epoch_len)
 {
-    assert(cores > 0);
-    assert(epoch_len > 0);
+    // Core indices are 16-bit, as in the sOA's core sets.
+    if (cores <= 0 || cores > 65536) {
+        throw std::invalid_argument(
+            "WearJournal: cores must be in [1, 65536]");
+    }
+    if (epoch_len <= 0)
+        throw std::invalid_argument("WearJournal: epoch must be > 0");
+    coreUsedLatest_.assign(static_cast<std::size_t>(cores), 0);
 }
 
 void
-WearJournal::append(int core, sim::Tick core_time, sim::Tick at)
+WearJournal::append(std::span<const std::uint16_t> cores,
+                    sim::Tick core_time, sim::Tick at)
 {
-    assert(core >= 0 &&
-           core < static_cast<int>(coreUsedLatest_.size()));
-    if (core_time <= 0)
+    if (core_time <= 0 || cores.empty())
         return;
     const std::int64_t epoch = at / epochLen_;
     if (epochs_.empty() || epoch != latestEpoch_) {
@@ -167,9 +180,22 @@ WearJournal::append(int core, sim::Tick core_time, sim::Tick at)
     }
     if (epochs_.empty() || epochs_.back().epoch != epoch)
         epochs_.push_back({epoch, 0});
-    epochs_.back().coreTime += core_time;
-    coreUsedLatest_[core] += core_time;
+    epochs_.back().coreTime +=
+        core_time * static_cast<sim::Tick>(cores.size());
+    for (const std::uint16_t core : cores) {
+        assert(core < coreUsedLatest_.size());
+        coreUsedLatest_[core] += core_time;
+    }
     ++appends_;
+}
+
+void
+WearJournal::append(int core, sim::Tick core_time, sim::Tick at)
+{
+    assert(core >= 0 &&
+           core < static_cast<int>(coreUsedLatest_.size()));
+    const auto index = static_cast<std::uint16_t>(core);
+    append(std::span<const std::uint16_t>(&index, 1), core_time, at);
 }
 
 sim::Tick
@@ -204,9 +230,11 @@ WearJournal::replay(OverclockBudget &budget,
 }
 
 TimeInState::TimeInState(int cores)
-    : accumulated_(cores, 0), sinceTick_(cores, -1)
 {
-    assert(cores > 0);
+    if (cores <= 0)
+        throw std::invalid_argument("TimeInState: cores must be > 0");
+    accumulated_.assign(static_cast<std::size_t>(cores), 0);
+    sinceTick_.assign(static_cast<std::size_t>(cores), -1);
 }
 
 void

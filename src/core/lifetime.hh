@@ -24,6 +24,8 @@
 #ifndef SOC_CORE_LIFETIME_HH
 #define SOC_CORE_LIFETIME_HH
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "power/power_model.hh"
@@ -112,6 +114,8 @@ class OverclockBudget
      * @param fraction  Fraction of time each core may overclock.
      * @param cores     Number of cores covered by this budget.
      * @param carryover_cap Max carried-over budget, in epochs.
+     * @throws std::invalid_argument unless epoch > 0, fraction is
+     *         in [0, 1] and cores > 0.
      */
     OverclockBudget(sim::Tick epoch, double fraction, int cores,
                     double carryover_cap = 1.0);
@@ -194,14 +198,21 @@ class WearJournal
     /**
      * @param cores     Cores covered (width of the per-core record).
      * @param epoch_len Epoch length of the budget being journaled.
+     * @throws std::invalid_argument unless 0 < cores <= 65,536
+     *         (core indices are 16-bit) and epoch_len > 0.
      */
     WearJournal(int cores, sim::Tick epoch_len);
 
-    /** Record @p core consuming @p core_time of wear at @p at.
-     *  Appends must be in non-decreasing time order. */
+    /** Record each of @p cores consuming @p core_time of wear at
+     *  @p at, as one entry.  Appends must be in non-decreasing time
+     *  order. */
+    void append(std::span<const std::uint16_t> cores,
+                sim::Tick core_time, sim::Tick at);
+
+    /** Record @p core consuming @p core_time of wear at @p at. */
     void append(int core, sim::Tick core_time, sim::Tick at);
 
-    /** Number of append() calls recorded (tests/diagnostics). */
+    /** Number of entries recorded (tests/diagnostics). */
     std::uint64_t appends() const { return appends_; }
 
     /** Total journaled core-time over all epochs. */
@@ -237,6 +248,7 @@ class WearJournal
 class TimeInState
 {
   public:
+    /** @throws std::invalid_argument unless cores > 0. */
     explicit TimeInState(int cores);
 
     int cores() const

@@ -11,6 +11,34 @@ namespace soc
 namespace core
 {
 
+namespace
+{
+
+/** Entry for @p key in the key-sorted flat vector @p flat, or the
+ *  position it would be inserted at. */
+template <typename Flat>
+auto
+lowerBoundKey(Flat &flat, int key)
+{
+    return std::lower_bound(
+        flat.begin(), flat.end(), key,
+        [](const auto &e, int k) { return e.first < k; });
+}
+
+/** Set @p key's value in the key-sorted flat vector @p flat. */
+template <typename Flat, typename Value>
+void
+assignKey(Flat &flat, int key, const Value &value)
+{
+    const auto at = lowerBoundKey(flat, key);
+    if (at != flat.end() && at->first == key)
+        at->second = value;
+    else
+        flat.emplace(at, key, value);
+}
+
+} // namespace
+
 SoaConfig
 SoaConfig::forPolicy(PolicyKind kind)
 {
@@ -78,23 +106,22 @@ ServerOverclockingAgent::assignBudget(
     ++stats_.budgetAssignments;
     const double peak = assignment.budget.peak();
     const double trough = assignment.budget.trough();
-    const char *reason = nullptr;
+    BudgetReject reject = BudgetReject::None;
     if (!std::isfinite(peak) || !std::isfinite(trough))
-        reason = "budget not finite";
+        reject = BudgetReject::NotFinite;
     else if (trough < 0.0)
-        reason = "budget negative";
+        reject = BudgetReject::Negative;
     else if (assignment.rackLimitWatts > power::Watts{0.0} &&
              power::Watts{peak} > assignment.rackLimitWatts)
-        reason = "budget exceeds rack limit";
+        reject = BudgetReject::AboveRackLimit;
     else if (assignment.leaseUntil != 0 &&
              assignment.leaseUntil < assignment.issuedAt)
-        reason = "lease expires before issue time";
-    if (reason != nullptr) {
+        reject = BudgetReject::LeaseBeforeIssue;
+    lastBudgetReject_ = reject;
+    if (reject != BudgetReject::None) {
         ++stats_.budgetRejects;
-        lastBudgetReject_ = reason;
         return false;
     }
-    lastBudgetReject_.clear();
     budget_ = assignment.budget;
     budgetAssigned_ = true;
     leaseUntil_ = assignment.leaseUntil;
@@ -164,8 +191,9 @@ ServerOverclockingAgent::requestOverclock(
     // before the requested-core accounting so a flap storm cannot
     // inflate apparent demand and steal budget from steady groups.
     if (config_.flapHoldoff > 0) {
-        const auto stop = lastStopAt_.find(request.groupId);
+        const auto stop = lowerBoundKey(lastStopAt_, request.groupId);
         if (stop != lastStopAt_.end() &&
+            stop->first == request.groupId &&
             now - stop->second < config_.flapHoldoff) {
             ++stats_.rejects;
             ++stats_.flapDenied;
@@ -205,9 +233,9 @@ ServerOverclockingAgent::requestOverclock(
 
     if (!decision.granted) {
         ++stats_.rejects;
-        recentDenied_[request.groupId] = {request.cores,
-                                          now + 2 *
-                                              config_.controlPeriod};
+        assignKey(recentDenied_, request.groupId,
+                  std::pair<int, sim::Tick>{
+                      request.cores, now + 2 * config_.controlPeriod});
         if (decision.reason ==
             AdmissionReason::PowerBudgetInsufficient) {
             powerDenialUntil_ = now + 2 * config_.warningWindow;
@@ -223,13 +251,8 @@ ServerOverclockingAgent::requestOverclock(
     oc.coreSet = pickCores(request.cores, now);
     for (int core : oc.coreSet)
         tis_.startOverclock(core, now);
-    active_.emplace(
-        std::lower_bound(active_.begin(), active_.end(),
-                         request.groupId,
-                         [](const auto &e, int id) {
-                             return e.first < id;
-                         }),
-        request.groupId, std::move(oc));
+    active_.emplace(lowerBoundKey(active_, request.groupId),
+                    request.groupId, std::move(oc));
 
     // Begin the ramp one step above turbo; the feedback loop takes
     // it the rest of the way.
@@ -259,11 +282,10 @@ ServerOverclockingAgent::chargeWear(ActiveOverclock &oc,
     const auto cores = static_cast<sim::Tick>(oc.coreSet.size());
     stats_.overclockedCoreTime += delta * cores;
     lifetime_.consume(delta * cores, now);
-    for (int core : oc.coreSet) {
+    for (int core : oc.coreSet)
         coreUsedEpoch_[core] += delta;
-        // Durable record: wear must survive an agent crash.
-        journal_.append(core, delta, now);
-    }
+    // Durable record: wear must survive an agent crash.
+    journal_.append(oc.coreSet, delta, now);
     return delta;
 }
 
@@ -287,10 +309,11 @@ ServerOverclockingAgent::stopOverclock(int group_id, sim::Tick now)
     }
     for (int core : oc.coreSet)
         tis_.stopOverclock(core, now);
+    releaseCores(std::move(oc.coreSet));
     server_.setTarget(group_id, power::kTurboMHz);
     active_.erase(it);
     if (config_.flapHoldoff > 0)
-        lastStopAt_[group_id] = now;
+        assignKey(lastStopAt_, group_id, now);
 }
 
 bool
@@ -305,23 +328,37 @@ ServerOverclockingAgent::isOverclockActive(int group_id) const
     return false;
 }
 
+std::span<const std::uint16_t>
+ServerOverclockingAgent::coreSet(int group_id) const
+{
+    const auto it = lowerBoundKey(active_, group_id);
+    if (it == active_.end() || it->first != group_id)
+        return {};
+    return it->second.coreSet;
+}
+
+sim::Tick
+ServerOverclockingAgent::coreUsed(int core, sim::Tick now) const
+{
+    // An epoch this agent has not rolled into yet starts unworn.
+    return now / config_.budgetEpoch == coreEpochIndex_
+        ? coreUsedEpoch_[core]
+        : 0;
+}
+
 std::vector<std::pair<int, ServerOverclockingAgent::ActiveOverclock>>
     ::iterator
 ServerOverclockingAgent::activeFind(int group_id)
 {
-    const auto it = std::lower_bound(
-        active_.begin(), active_.end(), group_id,
-        [](const auto &e, int id) { return e.first < id; });
+    const auto it = lowerBoundKey(active_, group_id);
     return it != active_.end() && it->first == group_id
         ? it
         : active_.end();
 }
 
 void
-ServerOverclockingAgent::revoke(ActiveOverclock &oc, sim::Tick now,
-                                const char *reason)
+ServerOverclockingAgent::revoke(ActiveOverclock &oc, sim::Tick now)
 {
-    (void)reason;
     ++stats_.revocations;
     stopOverclock(oc.request.groupId, now);
 }
@@ -341,61 +378,87 @@ ServerOverclockingAgent::constrained(sim::Tick now) const
     return false;
 }
 
-std::vector<int>
+std::vector<std::uint16_t>
 ServerOverclockingAgent::pickCores(int count, sim::Tick now)
 {
     rollCoreEpoch(now);
-    // Reused member scratch: this runs once per grant, which under
-    // short request chunks is the hottest allocation site in the
-    // whole control loop.
-    auto &busy = pickBusy_;
-    busy.assign(server_.totalCores(), 0);
-    for (const auto &[group_id, oc] : active_)
-        for (int core : oc.coreSet)
-            busy[core] = 1;
-
-    // (wear, index) is a strict total order equal to the historical
-    // stable_sort by wear alone (stable = index tie-break).
-    auto before = [this](int a, int b) {
-        return coreUsedEpoch_[a] != coreUsedEpoch_[b]
-            ? coreUsedEpoch_[a] < coreUsedEpoch_[b]
-            : a < b;
-    };
-
-    // k-selection instead of sorting all cores per grant: keep the
-    // `count` least-worn cores of the wanted busy-state, maintained
-    // in (wear, index) order — bit-identical to filtering a full
-    // sort, and O(cores) when wear is uniform (the common case,
-    // since we scan in index order and ties never displace).
-    std::vector<int> picked;
-    picked.reserve(static_cast<std::size_t>(count));
     const int total = server_.totalCores();
-    auto selectInto = [&](char want_busy) {
-        const std::size_t base = picked.size();
-        if (static_cast<int>(base) >= count)
-            return;
-        const std::size_t room =
-            static_cast<std::size_t>(count) - base;
+    if (holders_.empty()) {
+        // Built here rather than in the constructor, so agents that
+        // never grant add nothing to set-up.
+        holders_.assign(static_cast<std::size_t>(total), 0);
+        freeCores_.reserve(static_cast<std::size_t>(total));
+        sortFreeCores();
+    }
+    std::vector<std::uint16_t> picked;
+    if (!corePool_.empty()) {
+        picked = std::move(corePool_.back());
+        corePool_.pop_back();
+    }
+
+    // The least-worn free cores are the front of freeCores_.
+    const auto want = static_cast<std::size_t>(std::max(count, 0));
+    const std::size_t from_free = std::min(want, freeCores_.size());
+    const auto free_end =
+        freeCores_.begin() + static_cast<std::ptrdiff_t>(from_free);
+    picked.assign(freeCores_.begin(), free_end);
+
+    // If the server is fully busy with overclocks, reuse cores (the
+    // request would have been capacity-checked at the cluster
+    // layer): a k-selection over the held cores, kept in
+    // (wear, index) order, so it matches filtering a full sort.
+    if (picked.size() < want) {
+        const std::size_t room = want - from_free;
         for (int core = 0; core < total; ++core) {
-            if (busy[core] != want_busy)
+            if (holders_[core] == 0)
                 continue;
-            if (picked.size() - base < room) {
-                picked.push_back(core);
-            } else if (before(core, picked.back())) {
-                picked.back() = core;
+            if (picked.size() - from_free < room) {
+                picked.push_back(static_cast<std::uint16_t>(core));
+            } else if (wearBefore(core, picked.back())) {
+                picked.back() = static_cast<std::uint16_t>(core);
             } else {
                 continue;
             }
             for (std::size_t i = picked.size() - 1;
-                 i > base && before(picked[i], picked[i - 1]); --i)
+                 i > from_free && wearBefore(picked[i], picked[i - 1]);
+                 --i)
                 std::swap(picked[i], picked[i - 1]);
         }
-    };
-    selectInto(0);
-    // If the server is fully busy with overclocks, reuse cores (the
-    // request would have been capacity-checked at the cluster layer).
-    selectInto(1);
+    }
+
+    for (const std::uint16_t core : picked)
+        ++holders_[core];
+    freeCores_.erase(freeCores_.begin(), free_end);
     return picked;
+}
+
+void
+ServerOverclockingAgent::releaseCores(std::vector<std::uint16_t> &&cores)
+{
+    for (const std::uint16_t core : cores) {
+        if (--holders_[core] != 0)
+            continue; // still carrying another grant (reuse path)
+        freeCores_.insert(
+            std::lower_bound(freeCores_.begin(), freeCores_.end(),
+                             core,
+                             [this](int a, int b) {
+                                 return wearBefore(a, b);
+                             }),
+            core);
+    }
+    cores.clear();
+    corePool_.push_back(std::move(cores));
+}
+
+void
+ServerOverclockingAgent::sortFreeCores()
+{
+    freeCores_.clear();
+    for (std::size_t core = 0; core < holders_.size(); ++core)
+        if (holders_[core] == 0)
+            freeCores_.push_back(static_cast<std::uint16_t>(core));
+    std::sort(freeCores_.begin(), freeCores_.end(),
+              [this](int a, int b) { return wearBefore(a, b); });
 }
 
 void
@@ -405,14 +468,9 @@ ServerOverclockingAgent::rollCoreEpoch(sim::Tick now)
     if (epoch != coreEpochIndex_) {
         coreEpochIndex_ = epoch;
         std::fill(coreUsedEpoch_.begin(), coreUsedEpoch_.end(), 0);
+        // All wear is zero again: free cores fall back to index order.
+        sortFreeCores();
     }
-}
-
-sim::Tick
-ServerOverclockingAgent::coreUsed(int core, sim::Tick now)
-{
-    rollCoreEpoch(now);
-    return coreUsedEpoch_[core];
 }
 
 void
@@ -421,6 +479,10 @@ ServerOverclockingAgent::tick(sim::Tick now)
     // Expire stale denial records.
     std::erase_if(recentDenied_, [now](const auto &entry) {
         return entry.second.second <= now;
+    });
+    // A stop older than the flap window can deny nothing any more.
+    std::erase_if(lastStopAt_, [&](const auto &entry) {
+        return now - entry.second >= config_.flapHoldoff;
     });
 
     if (leaseStale(now)) {
@@ -611,14 +673,14 @@ ServerOverclockingAgent::lifetimeAccounting(sim::Tick now)
         return;
     rollCoreEpoch(now);
 
-    std::vector<int> expired;
+    bool revoke_due = false;
     for (auto &[group_id, oc] : active_) {
         // Natural expiry of the grant: charge the final partial
         // interval [prev, grantedUntil) before letting it go, or
         // the last stretch of wear is never accounted.
         if (now >= oc.grantedUntil) {
             chargeWear(oc, prev, now, now);
-            expired.push_back(group_id);
+            oc.revokeDue = revoke_due = true;
             continue;
         }
 
@@ -638,28 +700,33 @@ ServerOverclockingAgent::lifetimeAccounting(sim::Tick now)
 
         // §IV-D: explore whether other cores still have budget and
         // reschedule the VM there; otherwise revoke.
+        // The old cores stay held while the fresh ones are picked.
         for (int core : oc.coreSet)
             tis_.stopOverclock(core, now);
-        std::vector<int> fresh =
+        std::vector<std::uint16_t> fresh =
             pickCores(static_cast<int>(oc.coreSet.size()), now);
         bool viable = true;
         for (int core : fresh)
             if (coreUsedEpoch_[core] >= allowancePerCore_)
                 viable = false;
         if (viable && fresh.size() == oc.coreSet.size()) {
+            releaseCores(std::move(oc.coreSet));
             oc.coreSet = std::move(fresh);
             for (int core : oc.coreSet)
                 tis_.startOverclock(core, now);
             ++stats_.coreReschedules;
         } else {
-            expired.push_back(group_id);
+            releaseCores(std::move(fresh));
+            oc.revokeDue = revoke_due = true;
         }
     }
 
-    for (int group_id : expired) {
-        auto it = activeFind(group_id);
-        if (it != active_.end())
-            revoke(it->second, now, "budget exhausted/expired");
+    // Revoke in group order; each revoke erases its own entry.
+    for (std::size_t i = 0; revoke_due && i < active_.size();) {
+        if (active_[i].second.revokeDue)
+            revoke(active_[i].second, now);
+        else
+            ++i;
     }
 }
 
@@ -774,6 +841,7 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
         chargeWear(oc, lastAccounting_, now, now);
         for (int core : oc.coreSet)
             tis_.stopOverclock(core, now);
+        releaseCores(std::move(oc.coreSet));
         server_.setTarget(group_id, power::kTurboMHz);
     }
     stats_.revocations += active_.size();
@@ -798,7 +866,7 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
     budgetAssigned_ = false;
     leaseUntil_ = 0;
     lastAssignmentAt_ = -1;
-    lastBudgetReject_.clear();
+    lastBudgetReject_ = BudgetReject::None;
     ownPower_ = ProfileTemplate();
     ownTemplateValid_ = false;
     ownPowerVersion_ = 0;
@@ -827,6 +895,8 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
     std::fill(coreUsedEpoch_.begin(), coreUsedEpoch_.end(), 0);
     coreEpochIndex_ = now / config_.budgetEpoch;
     journal_.replay(lifetime_, coreUsedEpoch_, now);
+    // No grant survived: every core is free, in its replayed order.
+    sortFreeCores();
     lastAccounting_ = now;
     ++stats_.crashRestarts;
 }

@@ -29,8 +29,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "core/admission.hh"
@@ -121,6 +120,31 @@ struct SoaConfig {
     static SoaConfig forPolicy(PolicyKind kind);
 };
 
+/** Why the sOA rejected a BudgetAssignment. */
+enum class BudgetReject {
+    None,             ///< the last assignment was accepted (or none)
+    NotFinite,        ///< peak or trough is NaN or infinite
+    Negative,         ///< trough below zero
+    AboveRackLimit,   ///< peak exceeds the sender's rack limit
+    LeaseBeforeIssue, ///< lease expires before its issue time
+};
+
+/** Printable name of @p reject, for logs. */
+inline const char *
+budgetRejectName(BudgetReject reject)
+{
+    switch (reject) {
+    case BudgetReject::None: return "none";
+    case BudgetReject::NotFinite: return "budget not finite";
+    case BudgetReject::Negative: return "budget negative";
+    case BudgetReject::AboveRackLimit:
+        return "budget exceeds rack limit";
+    case BudgetReject::LeaseBeforeIssue:
+        return "lease expires before issue time";
+    }
+    return "unknown";
+}
+
 /** Counters exported to the evaluation harnesses. */
 struct SoaStats {
     std::uint64_t requests = 0;
@@ -185,11 +209,9 @@ class ServerOverclockingAgent : public power::RackPowerListener
     bool assignBudget(const BudgetAssignment &assignment,
                       sim::Tick now);
 
-    /** Reason the most recent assignment was rejected ("" if none). */
-    const std::string &lastBudgetReject() const
-    {
-        return lastBudgetReject_;
-    }
+    /** Why the most recent assignment was rejected (None if it
+     *  was accepted). */
+    BudgetReject lastBudgetReject() const { return lastBudgetReject_; }
 
     /** When the current budget was received (-1 before the first). */
     sim::Tick lastAssignmentAt() const { return lastAssignmentAt_; }
@@ -268,6 +290,13 @@ class ServerOverclockingAgent : public power::RackPowerListener
 
     bool isOverclockActive(int group_id) const;
 
+    /** Cores carrying @p group_id's overclock (empty without one);
+     *  the view lasts until the next request, stop, tick or crash. */
+    std::span<const std::uint16_t> coreSet(int group_id) const;
+
+    /** Overclocked time @p core has used in the epoch of @p now. */
+    sim::Tick coreUsed(int core, sim::Tick now) const;
+
     /** Number of groups currently holding an overclock grant. */
     std::size_t activeOverclocks() const { return active_.size(); }
 
@@ -327,9 +356,12 @@ class ServerOverclockingAgent : public power::RackPowerListener
         OverclockRequest request;
         sim::Tick grantedUntil = 0;
         sim::Tick startedAt = 0;
-        /** Core indices currently carrying this overclock. */
-        std::vector<int> coreSet;
+        /** Core indices currently carrying this overclock; the
+         *  storage cycles through corePool_. */
+        std::vector<std::uint16_t> coreSet;
         bool exhaustionSignaled = false;
+        /** Marked by lifetimeAccounting, revoked after its walk. */
+        bool revokeDue = false;
     };
 
     enum class ExploreState { Normal, Exploring, Exploiting };
@@ -364,18 +396,35 @@ class ServerOverclockingAgent : public power::RackPowerListener
      *  beyond it is warranted (§IV-D). */
     bool constrained(sim::Tick now) const;
 
-    /** Pick cores with the most remaining per-epoch budget. */
-    std::vector<int> pickCores(int count, sim::Tick now);
+    /**
+     * Pick and hold the @p count cores with the most remaining
+     * per-epoch budget, least worn first: a prefix of freeCores_,
+     * then, on a fully booked server, the least-worn held cores.
+     * The returned storage comes from corePool_.
+     */
+    std::vector<std::uint16_t> pickCores(int count, sim::Tick now);
+
+    /** Drop one grant's hold on @p cores (cores no grant holds any
+     *  more rejoin freeCores_) and return the storage to the pool. */
+    void releaseCores(std::vector<std::uint16_t> &&cores);
+
+    /** Rebuild freeCores_ from holders_ and the current wear. */
+    void sortFreeCores();
+
+    /** The (epoch wear, index) order cores are picked in. */
+    bool wearBefore(int a, int b) const
+    {
+        return coreUsedEpoch_[a] != coreUsedEpoch_[b]
+            ? coreUsedEpoch_[a] < coreUsedEpoch_[b]
+            : a < b;
+    }
 
     /** Server draw as seen through the (possibly faulty) sensor. */
     power::Watts measuredWatts(sim::Tick now) const;
 
-    /** Per-epoch used overclock time of a core. */
-    sim::Tick coreUsed(int core, sim::Tick now);
     void rollCoreEpoch(sim::Tick now);
 
-    void revoke(ActiveOverclock &oc, sim::Tick now,
-                const char *reason);
+    void revoke(ActiveOverclock &oc, sim::Tick now);
 
     power::Server &server_;
     SoaConfig config_;
@@ -390,7 +439,7 @@ class ServerOverclockingAgent : public power::RackPowerListener
     sim::Tick leaseUntil_ = 0;
     sim::Tick lastAssignmentAt_ = -1;
     power::Watts safeBudgetWatts_{0.0};
-    std::string lastBudgetReject_;
+    BudgetReject lastBudgetReject_ = BudgetReject::None;
     ProfileTemplate ownPower_;
     bool ownTemplateValid_ = false;
     /** Aggregator version/strategy ownPower_ was assembled from. */
@@ -408,17 +457,21 @@ class ServerOverclockingAgent : public power::RackPowerListener
      * is walked several times per control tick (feedback victim
      * scans, wear accounting, telemetry sums) and holds only a
      * handful of grants, so contiguous iteration beats node hops;
-     * activeFind() keeps the map's lookup semantics.
+     * activeFind() keeps the map's lookup semantics.  The two
+     * per-group records below are sorted flat vectors for the same
+     * reason, and so that recording one allocates nothing once warm.
      */
     std::vector<std::pair<int, ActiveOverclock>> active_;
     /** Iterator to the entry for @p group_id, or active_.end(). */
     std::vector<std::pair<int, ActiveOverclock>>::iterator
     activeFind(int group_id);
     /** Recently denied requests: groupId -> (cores, expiry). */
-    std::map<int, std::pair<int, sim::Tick>> recentDenied_;
+    std::vector<std::pair<int, std::pair<int, sim::Tick>>>
+        recentDenied_;
     /** Last stopOverclock time per group, for the flap-hysteresis
-     *  window (ordered per DET-003; empty while flapHoldoff == 0). */
-    std::map<int, sim::Tick> lastStopAt_;
+     *  window; tick() drops stops older than the window (empty
+     *  while flapHoldoff == 0). */
+    std::vector<std::pair<int, sim::Tick>> lastStopAt_;
     /** Until when a power-based denial keeps the agent "constrained"
      *  for exploration purposes. */
     sim::Tick powerDenialUntil_ = 0;
@@ -433,11 +486,20 @@ class ServerOverclockingAgent : public power::RackPowerListener
 
     // Lifetime accounting.
     std::vector<sim::Tick> coreUsedEpoch_;
-    /** pickCores scratch, reused across grants (hot path). */
-    std::vector<char> pickBusy_;
     std::int64_t coreEpochIndex_ = 0;
     sim::Tick lastAccounting_ = 0;
     sim::Tick allowancePerCore_ = 0;
+
+    // Core selection (DESIGN.md §11), built at the first pick.  Only
+    // held cores are charged wear, so a free core's wear is frozen:
+    // freeCores_ keeps its (wear, index) order and changes only at a
+    // pick, a release, an epoch roll and a crash restart.
+    /** Cores no grant holds, in (epoch wear, index) order. */
+    std::vector<std::uint16_t> freeCores_;
+    /** Number of grants holding each core. */
+    std::vector<std::uint16_t> holders_;
+    /** Released core-set storage, reused by the next pick. */
+    std::vector<std::vector<std::uint16_t>> corePool_;
 
     // Closed-slot telemetry, one aggregator per series: fed one
     // sample per closed slot, and the only resident copy (templates

@@ -1,9 +1,10 @@
 /**
  * @file
- * Steady-state allocation guard: once warmed up, the hint ingress
- * and the event queue must not touch the heap.  This translation
- * unit replaces the global operator new/delete with counting
- * versions, so the binary stands alone (`ctest -L alloc`).
+ * Steady-state allocation guard: once warmed up, the hint ingress,
+ * the event queue and the sOA's control steps must not touch the
+ * heap.  This translation unit replaces the global operator
+ * new/delete with counting versions, so the binary stands alone
+ * (`ctest -L alloc`).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <new>
 
 #include "core/hint_ingress.hh"
+#include "core/slot_aggregator.hh"
+#include "core/soa.hh"
 #include "sim/event_queue.hh"
 #include "sim/hint_storm.hh"
 
@@ -209,4 +212,164 @@ TEST(AllocGuard, EventQueueWithSixteenByteHandlersAllocatesNothing)
     EXPECT_EQ(g_allocations - before, 0u);
     EXPECT_EQ(load.queue.size(), 512u);
     EXPECT_EQ(load.queue.executedCount(), 120000u);
+}
+
+namespace
+{
+
+/**
+ * One sOA on a 64-core server driven through a 30-minute cycle that
+ * makes every kind of control step: group 0 holds a grant it
+ * extends every 5 minutes, so its cores wear out and it is moved to
+ * fresh ones; group 1 takes 2-minute grants that expire; group 2 is
+ * stopped and re-requested a minute later (a flap); group 3 asks
+ * for the whole server, more than the power budget admits.
+ * Allocations are counted per kind of call while `measuring`.
+ */
+struct SoaCycle {
+    explicit SoaCycle(sim::Tick flap_holdoff)
+    {
+        core::SoaConfig cfg;
+        cfg.flapHoldoff = flap_holdoff;
+        cfg.exploreEnabled = false; // keep the power budget fixed
+        // ~100 minutes of overclocking per core per weekly epoch.
+        cfg.overclockFraction = 0.01;
+        window = cfg.templateWindow;
+        server = &rack.addServer(&model());
+        for (int g = 0; g < 8; ++g)
+            vm[g] = server->addGroup(8, 0.6, power::kTurboMHz, 1);
+        soa = std::make_unique<core::ServerOverclockingAgent>(
+            *server, cfg, &rack);
+        soa->setExhaustionCallback([](const core::ExhaustionSignal &) {});
+        // Room for three 8-core overclocks at worst-case utilization,
+        // far short of a 64-core one.
+        const power::Watts extra = model().overclockExtraPower(
+            1.0, power::kOverclockMHz, 8);
+        soa->assignBudget(core::ProfileTemplate::flat(
+            (server->powerWatts() + extra * 3.5).count()));
+    }
+
+    static const power::PowerModel &
+    model()
+    {
+        static const power::PowerModel instance;
+        return instance;
+    }
+
+    void
+    request(int group, int cores, sim::Tick duration, sim::Tick t)
+    {
+        core::OverclockRequest r;
+        r.groupId = vm[group];
+        r.cores = cores;
+        r.duration = duration;
+        const std::uint64_t before = g_allocations;
+        const core::AdmissionDecision d = soa->requestOverclock(r, t);
+        if (measuring) {
+            requestAllocs += g_allocations - before;
+            extended += d.reason == core::AdmissionReason::Extended;
+        }
+    }
+
+    void
+    stop(int group, sim::Tick t)
+    {
+        const std::uint64_t before = g_allocations;
+        soa->stopOverclock(vm[group], t);
+        if (measuring)
+            stopAllocs += g_allocations - before;
+    }
+
+    /** Run the cycle over [from, to) in 5-second control ticks. */
+    void
+    run(sim::Tick from, sim::Tick to)
+    {
+        for (sim::Tick t = from; t < to; t += 5 * sim::kSecond) {
+            const sim::Tick phase = t % (30 * sim::kMinute);
+            if (phase % (5 * sim::kMinute) == 0)
+                request(0, 8, sim::kHour, t);
+            if (phase % (10 * sim::kMinute) == 0)
+                request(1, 8, 2 * sim::kMinute, t);
+            if (phase == 0 || phase == 4 * sim::kMinute)
+                request(2, 8, sim::kHour, t);
+            if (phase == 3 * sim::kMinute || phase == 20 * sim::kMinute)
+                stop(2, t);
+            if (phase % (5 * sim::kMinute) == sim::kMinute)
+                request(3, 64, 10 * sim::kMinute, t);
+            const std::uint64_t before = g_allocations;
+            soa->tick(t);
+            if (measuring)
+                tickAllocs += g_allocations - before;
+        }
+    }
+
+    power::Rack rack{0, power::Watts{4000.0}};
+    power::Server *server = nullptr;
+    int vm[8] = {};
+    std::unique_ptr<core::ServerOverclockingAgent> soa;
+    sim::Tick window = 0;
+    bool measuring = false;
+    std::uint64_t requestAllocs = 0;
+    std::uint64_t stopAllocs = 0;
+    std::uint64_t tickAllocs = 0;
+    std::uint64_t extended = 0;
+};
+
+/**
+ * Allocations a SlotAggregator makes for slots [first, last) after
+ * being fed slots [0, first): its std::deque ring takes a new block
+ * every 64 samples.  The sOA feeds five such series one sample per
+ * closed slot.
+ */
+std::uint64_t
+telemetryRingAllocations(sim::Tick window, std::int64_t first,
+                         std::int64_t last)
+{
+    core::SlotAggregator ring(window);
+    for (std::int64_t slot = 0; slot < first; ++slot)
+        ring.add(slot * sim::kSlot, 1.0);
+    const std::uint64_t before = g_allocations;
+    for (std::int64_t slot = first; slot < last; ++slot)
+        ring.add(slot * sim::kSlot, 1.0);
+    return g_allocations - before;
+}
+
+} // namespace
+
+TEST(AllocGuard, SoaControlStepsAllocateNothingOnceWarm)
+{
+    for (const sim::Tick holdoff : {sim::Tick{0}, 10 * sim::kMinute}) {
+        SoaCycle cycle(holdoff);
+        const sim::Tick warm = 3 * sim::kHour;
+        const sim::Tick end = 6 * sim::kHour;
+        cycle.run(0, warm);
+        const core::SoaStats s0 = cycle.soa->stats();
+        cycle.measuring = true;
+        cycle.run(warm, end);
+        const core::SoaStats &s1 = cycle.soa->stats();
+
+        // Every kind of step happened while measuring...
+        EXPECT_GT(s1.grants, s0.grants) << "holdoff " << holdoff;
+        EXPECT_GT(s1.rejects - s1.flapDenied, s0.rejects - s0.flapDenied)
+            << "holdoff " << holdoff;
+        if (holdoff > 0) {
+            EXPECT_GT(s1.flapDenied, s0.flapDenied);
+        }
+        EXPECT_GT(cycle.extended, 0u);
+        EXPECT_GT(s1.revocations, s0.revocations); // natural expiry
+        EXPECT_GT(s1.coreReschedules, s0.coreReschedules)
+            << "holdoff " << holdoff;
+
+        // ...and none of them allocated.  A tick closing a telemetry
+        // slot feeds the sOA's five SlotAggregator rings, whose deque
+        // blocks turn over at a fixed pace; that is all a tick may
+        // allocate.
+        EXPECT_EQ(cycle.requestAllocs, 0u) << "holdoff " << holdoff;
+        EXPECT_EQ(cycle.stopAllocs, 0u) << "holdoff " << holdoff;
+        const std::int64_t first = (warm - 5 * sim::kSecond) / sim::kSlot;
+        const std::int64_t last = (end - 5 * sim::kSecond) / sim::kSlot;
+        EXPECT_EQ(cycle.tickAllocs,
+                  5 * telemetryRingAllocations(cycle.window, first, last))
+            << "holdoff " << holdoff;
+    }
 }

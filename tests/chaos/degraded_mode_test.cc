@@ -90,7 +90,7 @@ TEST(BudgetValidation, AcceptsFiniteInRangeBudget)
     EXPECT_TRUE(fx.soa->assignBudget(assignment(300.0), 10));
     EXPECT_EQ(fx.soa->stats().budgetAssignments, 1u);
     EXPECT_EQ(fx.soa->stats().budgetRejects, 0u);
-    EXPECT_TRUE(fx.soa->lastBudgetReject().empty());
+    EXPECT_EQ(fx.soa->lastBudgetReject(), BudgetReject::None);
     EXPECT_EQ(fx.soa->lastAssignmentAt(), 10);
     EXPECT_DOUBLE_EQ(fx.soa->budgetWatts(10).count(), 300.0);
 }
@@ -102,7 +102,7 @@ TEST(BudgetValidation, RejectsNaNKeepingPreviousBudget)
     EXPECT_FALSE(fx.soa->assignBudget(
         assignment(std::numeric_limits<double>::quiet_NaN()), 5));
     EXPECT_EQ(fx.soa->stats().budgetRejects, 1u);
-    EXPECT_EQ(fx.soa->lastBudgetReject(), "budget not finite");
+    EXPECT_EQ(fx.soa->lastBudgetReject(), BudgetReject::NotFinite);
     // The poisoned payload did not displace the previous budget.
     EXPECT_DOUBLE_EQ(fx.soa->budgetWatts(5).count(), 300.0);
     EXPECT_EQ(fx.soa->lastAssignmentAt(), 0);
@@ -112,7 +112,7 @@ TEST(BudgetValidation, RejectsNegative)
 {
     Fixture fx;
     EXPECT_FALSE(fx.soa->assignBudget(assignment(-50.0), 0));
-    EXPECT_EQ(fx.soa->lastBudgetReject(), "budget negative");
+    EXPECT_EQ(fx.soa->lastBudgetReject(), BudgetReject::Negative);
     EXPECT_EQ(fx.soa->stats().budgetRejects, 1u);
 }
 
@@ -121,7 +121,7 @@ TEST(BudgetValidation, RejectsBudgetAboveRackLimit)
     Fixture fx;
     EXPECT_FALSE(fx.soa->assignBudget(assignment(4000.0), 0));
     EXPECT_EQ(fx.soa->lastBudgetReject(),
-              "budget exceeds rack limit");
+              BudgetReject::AboveRackLimit);
     // A sender that does not declare its limit cannot be checked
     // against it; the assignment passes the remaining checks.
     EXPECT_TRUE(fx.soa->assignBudget(
@@ -134,7 +134,7 @@ TEST(BudgetValidation, RejectsLeaseExpiringBeforeIssue)
     EXPECT_FALSE(fx.soa->assignBudget(
         assignment(300.0, /*issued=*/kHour, /*lease=*/kMinute), kHour));
     EXPECT_EQ(fx.soa->lastBudgetReject(),
-              "lease expires before issue time");
+              BudgetReject::LeaseBeforeIssue);
 }
 
 TEST(Lease, LeaselessAssignmentsNeverGoStale)

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "core/lifetime.hh"
 
 using namespace soc;
@@ -116,6 +121,24 @@ TEST(OverclockBudget, AllowanceComputation)
     EXPECT_EQ(budget.remaining(0), budget.allowancePerEpoch());
 }
 
+TEST(OverclockBudget, RejectsInvalidInputsInEveryBuild)
+{
+    // A zero epoch used to divide by zero at the first roll, and a
+    // fraction above 1 granted more time than an epoch has.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(OverclockBudget(0, 0.10, 64), std::invalid_argument);
+    EXPECT_THROW(OverclockBudget(-kWeek, 0.10, 64),
+                 std::invalid_argument);
+    EXPECT_THROW(OverclockBudget(kWeek, 1.5, 64), std::invalid_argument);
+    EXPECT_THROW(OverclockBudget(kWeek, -0.1, 64),
+                 std::invalid_argument);
+    EXPECT_THROW(OverclockBudget(kWeek, nan, 64), std::invalid_argument);
+    EXPECT_THROW(OverclockBudget(kWeek, 0.10, 0), std::invalid_argument);
+    // The closed interval's ends are valid.
+    EXPECT_EQ(OverclockBudget(kWeek, 0.0, 1).allowancePerEpoch(), 0);
+    EXPECT_EQ(OverclockBudget(kWeek, 1.0, 1).allowancePerEpoch(), kWeek);
+}
+
 TEST(OverclockBudget, ConsumeReducesRemaining)
 {
     OverclockBudget budget(kWeek, 0.10, 64);
@@ -211,6 +234,52 @@ TEST(TimeInState, DoubleStartAndStopAreIdempotent)
     tis.stopOverclock(0, 100);
     tis.stopOverclock(0, 200); // ignored
     EXPECT_EQ(tis.overclockedTime(0, 500), 100);
+}
+
+TEST(TimeInState, RejectsNoCores)
+{
+    EXPECT_THROW(TimeInState(0), std::invalid_argument);
+    EXPECT_THROW(TimeInState(-8), std::invalid_argument);
+}
+
+TEST(WearJournal, RejectsInvalidInputsInEveryBuild)
+{
+    EXPECT_THROW(WearJournal(0, kWeek), std::invalid_argument);
+    EXPECT_THROW(WearJournal(-1, kWeek), std::invalid_argument);
+    // Core indices are 16-bit.
+    EXPECT_THROW(WearJournal(65537, kWeek), std::invalid_argument);
+    EXPECT_THROW(WearJournal(64, 0), std::invalid_argument);
+    EXPECT_NO_THROW(WearJournal(65536, kWeek));
+}
+
+TEST(WearJournal, CoreSetEntryMatchesPerCoreEntries)
+{
+    // One entry for a whole core set replays exactly like one entry
+    // per core.
+    const Tick epoch = 1000;
+    WearJournal per_core(4, epoch);
+    WearJournal per_set(4, epoch);
+    const std::vector<std::uint16_t> set = {3, 0, 2};
+    for (const Tick at : {Tick{10}, Tick{700}, Tick{1500}}) {
+        for (const std::uint16_t core : set)
+            per_core.append(core, 25, at);
+        per_set.append(set, 25, at);
+    }
+    per_set.append(std::vector<std::uint16_t>{}, 25, 1600);
+    per_set.append(set, 0, 1600);
+    EXPECT_EQ(per_set.appends(), 3u);
+    EXPECT_EQ(per_core.appends(), 9u);
+    EXPECT_EQ(per_set.totalCoreTime(), per_core.totalCoreTime());
+    for (const Tick now : {Tick{1700}, Tick{2500}}) {
+        OverclockBudget a(epoch, 0.5, 4);
+        OverclockBudget b(epoch, 0.5, 4);
+        std::vector<Tick> used_a(4, 0);
+        std::vector<Tick> used_b(4, 0);
+        per_core.replay(a, used_a, now);
+        per_set.replay(b, used_b, now);
+        EXPECT_EQ(a.remaining(now), b.remaining(now));
+        EXPECT_EQ(used_a, used_b);
+    }
 }
 
 /** Property sweep: duty solution is monotone in the budget rate. */

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+
 #include "core/soa.hh"
 #include "telemetry/time_series.hh"
 
@@ -528,4 +532,32 @@ TEST(Soa, WearChargedOnStopBetweenTicks)
     fx.soa->tick(10 * kMinute);
     EXPECT_EQ(fx.soa->stats().overclockedCoreTime,
               8 * (7 * kMinute));
+}
+
+TEST(Soa, RejectsInvalidLifetimeConfigInEveryBuild)
+{
+    power::Rack rack(0, power::Watts{2000.0});
+    power::Server &server = rack.addServer(&model());
+    SoaConfig zero_epoch;
+    zero_epoch.budgetEpoch = 0; // the first tick divided by zero
+    EXPECT_THROW(ServerOverclockingAgent(server, zero_epoch),
+                 std::invalid_argument);
+    SoaConfig over_full;
+    over_full.overclockFraction = 1.5;
+    EXPECT_THROW(ServerOverclockingAgent(server, over_full),
+                 std::invalid_argument);
+}
+
+TEST(Soa, BudgetRejectNamesAreDistinct)
+{
+    std::set<std::string> names;
+    for (int r = 0;
+         r <= static_cast<int>(BudgetReject::LeaseBeforeIssue); ++r)
+        names.insert(budgetRejectName(static_cast<BudgetReject>(r)));
+    EXPECT_EQ(names.size(),
+              static_cast<std::size_t>(BudgetReject::LeaseBeforeIssue) +
+                  1);
+    EXPECT_EQ(names.count("unknown"), 0u);
+    EXPECT_STREQ(budgetRejectName(BudgetReject::AboveRackLimit),
+                 "budget exceeds rack limit");
 }
