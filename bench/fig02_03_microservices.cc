@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "sim/simulator.hh"
+#include "sim/stats.hh"
 #include "telemetry/table.hh"
 #include "workload/queueing_service.hh"
 
@@ -47,10 +48,13 @@ run(const workload::MicroserviceParams &params, double load_frac,
     service.setArrivalRate(0.0);
     simulator.runUntil(41 * sim::kSecond);
 
+    // The run is one window: every completion, in completion order.
     Cell cell;
-    const auto window = service.drainWindow();
-    (void)window;
-    cell.p99Ms = service.latencies().p99();
+    workload::QueueingService::WindowStats window;
+    service.drainWindow(window);
+    cell.p99Ms = sim::quantileInPlace(
+        window.latencyMs.data(),
+        window.latencyMs.data() + window.latencyMs.size(), 0.99);
     // Busy-core utilization over the run.
     cell.util = service.meanBusyCores() /
         (params.workersPerVm * instances);

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "sim/simulator.hh"
+#include "sim/stats.hh"
 #include "telemetry/table.hh"
 #include "workload/archetype.hh"
 #include "workload/queueing_service.hh"
@@ -50,6 +51,7 @@ dayUtil(bool overclock_spikes)
         0.85 * service.instanceCapacity(power::kTurboMHz);
 
     std::vector<double> utils;
+    workload::QueueingService::WindowStats window;
     sim::Tick clock = 0;
     for (int slot = 0; slot < sim::kSlotsPerDay; ++slot) {
         const sim::Tick t =
@@ -63,7 +65,8 @@ dayUtil(bool overclock_spikes)
         service.setArrivalRate(load * peak_rps);
         clock += 2 * sim::kSecond;
         simulator.runUntil(clock);
-        utils.push_back(service.drainWindow().utilization);
+        service.drainWindow(window);
+        utils.push_back(window.utilization);
     }
     return utils;
 }

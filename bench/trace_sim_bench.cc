@@ -32,6 +32,10 @@
  *     generator's day-batch size; and Archetype::utilFill (the
  *     minute-of-day shape table) against the per-sample utilAt
  *     kernel loop over the same day windows, interleaved, min of N.
+ *     Beside them, also gated, the Percentiles reservoir (add, then
+ *     a P99: its O(n) radix sort) against a std::sort reference on
+ *     ~300k lognormal latencies, the size of a cluster run's
+ *     largest load-class reservoir.
  *  6. Paper-scale streaming replay: the full 7,104-rack fleet of
  *     the paper (§III) through the HierarchyZone budget path,
  *     reporting replay throughput (racks over summed rack-seconds,
@@ -78,6 +82,7 @@
 #include "hint_storm_common.hh"
 #include "provenance_git.h"
 #include "sim/rng.hh"
+#include "sim/stats.hh"
 #include "sim/thread_pool.hh"
 #include "sim/time.hh"
 #include "workload/trace_generator.hh"
@@ -425,6 +430,71 @@ runShapeFillVsUtilAt()
     return out;
 }
 
+/** Percentiles against a std::sort reference (section 5): the same
+ *  lognormal latencies appended, then one P99, which sorts.  The
+ *  sides alternate rep by rep; best-of-N. */
+struct PercentileSortResult {
+    double referencePerS = 0.0;
+    double percentilesPerS = 0.0;
+    double speedup = 0.0;
+};
+
+PercentileSortResult
+runPercentileSortVsStdSort()
+{
+    constexpr std::size_t kSamples = 300000;
+    constexpr int kReps = 5;
+    sim::Rng rng(9100);
+    std::vector<double> latencies(kSamples);
+    for (double &v : latencies)
+        v = rng.lognormal(2.3, 0.8); // ms: median ~10, long tail
+    double reference_s = 0.0;
+    double percentiles_s = 0.0;
+    double sink = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+        auto start = Clock::now();
+        {
+            std::vector<double> sorted;
+            for (const double v : latencies)
+                sorted.push_back(v);
+            std::sort(sorted.begin(), sorted.end());
+            const double rank =
+                0.99 * static_cast<double>(sorted.size() - 1);
+            const auto lo = static_cast<std::size_t>(rank);
+            const double frac = rank - static_cast<double>(lo);
+            sink += sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+        }
+        const double r = secondsSince(start);
+        if (rep == 0 || r < reference_s)
+            reference_s = r;
+
+        start = Clock::now();
+        {
+            sim::Percentiles reservoir;
+            for (const double v : latencies)
+                reservoir.add(v);
+            sink -= reservoir.p99();
+        }
+        const double p = secondsSince(start);
+        if (rep == 0 || p < percentiles_s)
+            percentiles_s = p;
+    }
+    // The two P99s are equal (the sort is pinned to std::sort by
+    // test), so the checksum is 0; it only keeps the loops
+    // observable.
+    if (sink != 0.0)
+        std::fprintf(stderr, "(percentile checksum mismatch)\n");
+    const double samples = static_cast<double>(kSamples);
+    PercentileSortResult out;
+    out.referencePerS = reference_s > 0.0 ? samples / reference_s : 0.0;
+    out.percentilesPerS =
+        percentiles_s > 0.0 ? samples / percentiles_s : 0.0;
+    out.speedup = out.referencePerS > 0.0
+        ? out.percentilesPerS / out.referencePerS
+        : 0.0;
+    return out;
+}
+
 /** The paper-scale streaming replay (section 6). */
 struct PaperScaleResult {
     cluster::TraceSimConfig cfg;
@@ -673,6 +743,7 @@ main(int argc, char **argv)
     //    speedups).
     const auto gen_batch = runGenBatchVsScalar();
     const auto shape_fill = runShapeFillVsUtilAt();
+    const auto percentile_sort = runPercentileSortVsStdSort();
 
     // 6. Paper-scale streaming replay (gated racks/s + peak RSS).
     const auto paper = runPaperScale(args);
@@ -727,7 +798,10 @@ main(int argc, char **argv)
                  "    \"gen_batch_speedup\": %.3f,\n"
                  "    \"shape_kernel_samples_per_s\": %.0f,\n"
                  "    \"shape_fill_samples_per_s\": %.0f,\n"
-                 "    \"shape_fill_speedup\": %.3f\n"
+                 "    \"shape_fill_speedup\": %.3f,\n"
+                 "    \"percentile_reference_samples_per_s\": %.0f,\n"
+                 "    \"percentile_samples_per_s\": %.0f,\n"
+                 "    \"percentile_sort_speedup\": %.3f\n"
                  "  },\n",
                  cfg.racks, cfg.serversPerRack, wall_s,
                  result.genSeconds, result.simSeconds, racks_per_s,
@@ -751,7 +825,9 @@ main(int argc, char **argv)
                  overflow_bench.hintsPerS, gen_batch.scalarPerS,
                  gen_batch.batchPerS, gen_batch.speedup,
                  shape_fill.kernelPerS, shape_fill.fillPerS,
-                 shape_fill.speedup);
+                 shape_fill.speedup, percentile_sort.referencePerS,
+                 percentile_sort.percentilesPerS,
+                 percentile_sort.speedup);
     printPaperScaleJson(out, args, paper);
     std::fprintf(out, "}\n");
     std::fclose(out);
@@ -762,13 +838,14 @@ main(int argc, char **argv)
                 "hier_incremental_us=%.2f hints_per_s=%.0f "
                 "overflow_hints_per_s=%.0f "
                 "gen_batch_speedup=%.3f shape_fill_speedup=%.3f "
+                "percentile_sort_speedup=%.3f "
                 "paper_racks_per_s=%.1f paper_peak_rss_mb=%.1f "
                 "-> %s\n",
                 wall_s, result.genSeconds, result.simSeconds,
                 racks_per_s, lat_1w.minUs, lat_6w.minUs, ratio,
                 flat_us, hier_us, ingress_bench.hintsPerS,
                 overflow_bench.hintsPerS, gen_batch.speedup,
-                shape_fill.speedup,
+                shape_fill.speedup, percentile_sort.speedup,
                 paper.racksPerS, paper.peakRssMb,
                 args.outPath);
     return 0;

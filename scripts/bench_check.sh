@@ -30,6 +30,12 @@
 #    per-sample utilAt kernel loop it is pinned to (7.4-11.5x
 #    measured as the host's speed swings; the floor is the low end
 #    less ~20%);
+#  - the Percentiles reservoir (add, then a P99, whose O(n) radix
+#    sort the cluster sim's per-class latency reservoirs pay once
+#    per run) must stay PERCENTILE_SORT_SPEEDUP_MIN faster than a
+#    std::sort reference on ~300k lognormal latencies (2.0-2.3x
+#    measured; the floor is the low end less ~20%; a fall back to
+#    an O(n log n) sort reads ~1x);
 #  - the paper-scale run (7,104 racks x 8 servers, 6h + 6h,
 #    HierarchyZone) must sustain PAPER_RACKS_PER_S_MIN and stay
 #    under PAPER_PEAK_RSS_MB_MAX — the streaming-window + resident-
@@ -60,6 +66,7 @@ HINTS_PER_S_MIN=2000000
 OVERFLOW_HINTS_PER_S_MIN=750000
 GEN_BATCH_SPEEDUP_MIN=1.25
 SHAPE_FILL_SPEEDUP_MIN=6.0
+PERCENTILE_SORT_SPEEDUP_MIN=1.6
 PAPER_RACKS_PER_S_MIN=100
 PAPER_PEAK_RSS_MB_MAX=7750
 SIXWEEK_SLICE_RACKS=256
@@ -149,6 +156,18 @@ echo "shape fill: $SHAPE_FILL samples/s table" \
 awk "BEGIN { exit !($SHAPE_SPEEDUP >= $SHAPE_FILL_SPEEDUP_MIN) }" || {
     echo "FAIL: utilFill no longer beats the utilAt kernel loop" \
          "by ${SHAPE_FILL_SPEEDUP_MIN}x" >&2
+    exit 1
+}
+
+PCT_REFERENCE=$(extract percentile_reference_samples_per_s)
+PCT_RESERVOIR=$(extract percentile_samples_per_s)
+PCT_SPEEDUP=$(extract percentile_sort_speedup)
+echo "percentile sort: $PCT_RESERVOIR samples/s reservoir" \
+     "vs $PCT_REFERENCE std::sort, speedup $PCT_SPEEDUP" \
+     "(floor: $PERCENTILE_SORT_SPEEDUP_MIN)"
+awk "BEGIN { exit !($PCT_SPEEDUP >= $PERCENTILE_SORT_SPEEDUP_MIN) }" || {
+    echo "FAIL: the Percentiles sort no longer beats std::sort" \
+         "by ${PERCENTILE_SORT_SPEEDUP_MIN}x" >&2
     exit 1
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -114,9 +115,10 @@ struct Deployment {
     std::unique_ptr<workload::QueueingService> service;
     std::unique_ptr<core::GlobalWiAgent> wi;
     std::vector<VmBinding> vms;
+    /** Poll-window drain buffer (QueueingService::drainWindow). */
+    workload::QueueingService::WindowStats window;
 
     // Evaluation accumulators.
-    sim::Percentiles evalLatency;
     std::uint64_t evalViolations = 0;
     std::uint64_t evalCompleted = 0;
     std::uint64_t evalWindows = 0;
@@ -526,13 +528,27 @@ runServiceSim(const ServiceSimConfig &config)
         }
     }
 
+    // Evaluated completion latencies per load class.  Each window is
+    // appended as it is drained, and each reservoir is sorted once,
+    // when the run reports.
+    std::array<sim::Percentiles, 3> class_latency;
+
     simulator.every(config.pollPeriod, [&](sim::Tick now) {
         const bool in_eval = now >= config.warmup;
         for (auto &dep : deployments) {
-            auto window = dep->service->drainWindow();
+            auto &window = dep->window;
+            dep->service->drainWindow(window);
+            double *first = window.latencyMs.data();
+            double *last = first + window.latencyMs.size();
             core::VmMetrics metrics;
-            metrics.p99LatencyMs = window.latencyMs.p99();
-            metrics.meanLatencyMs = window.latencyMs.mean();
+            // The mean sums the window in completion order; the P99
+            // then selects in place, reordering it.
+            metrics.meanLatencyMs = window.latencyMs.empty()
+                ? 0.0
+                : std::accumulate(first, last, 0.0) /
+                    static_cast<double>(window.latencyMs.size());
+            metrics.p99LatencyMs =
+                sim::quantileInPlace(first, last, 0.99);
             metrics.utilization = window.utilization;
             metrics.completed = window.completed;
             if (hint_ingress) {
@@ -561,7 +577,7 @@ runServiceSim(const ServiceSimConfig &config)
             }
 
             if (in_eval && window.completed > 0) {
-                dep->evalLatency.merge(window.latencyMs);
+                class_latency[dep->loadClass].add(first, last);
                 dep->evalViolations +=
                     window.violations + window.dropped;
                 dep->evalCompleted += window.completed;
@@ -654,7 +670,6 @@ runServiceSim(const ServiceSimConfig &config)
     const double eval_s = static_cast<double>(
         config.duration - config.warmup) / sim::kSecond;
 
-    std::array<sim::Percentiles, 3> class_latency;
     std::array<double, 3> class_instances{};
     std::array<power::Joules, 3> class_energy{};
     std::array<int, 3> class_count{};
@@ -664,7 +679,6 @@ runServiceSim(const ServiceSimConfig &config)
     double instances_all = 0.0;
     for (auto &dep : deployments) {
         const int c = dep->loadClass;
-        class_latency[c].merge(dep->evalLatency);
         result.byClass[c].completed += dep->evalCompleted;
         result.byClass[c].violations += dep->evalViolations;
         const double mean_instances =
@@ -688,6 +702,9 @@ runServiceSim(const ServiceSimConfig &config)
 
     for (int c = 0; c < 3; ++c) {
         auto &out = result.byClass[c];
+        // p99() sorts the reservoir, so mean() sums it in sorted
+        // order: the reported mean does not depend on the order the
+        // windows were drained in.
         out.p99Ms = class_latency[c].p99();
         out.meanMs = class_latency[c].mean();
         const int n = std::max(1, class_count[c]);

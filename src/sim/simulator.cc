@@ -32,27 +32,33 @@ Simulator::reschedule(TaskId id)
     if (it == periodics_.end() || it->second.stopped)
         return;
 
+    // The entry stays put while the task runs: map nodes do not
+    // move when the task adds tasks, and stopPeriodic() on a running
+    // task leaves the erase to us.  So the callable runs in place,
+    // with no per-firing copy.
     Periodic &periodic = it->second;
     periodic.pending = queue_.scheduleAfter(periodic.period,
                                             [this, id](Tick) {
         reschedule(id);
     });
-    // Invoke through a copy: the task may call stopPeriodic() on
-    // itself, which erases the map entry that owns the callable.
-    auto task = periodic.task;
-    task(now());
+    periodic.running = true;
+    periodic.task(now());
+    periodic.running = false;
+    if (periodic.stopped)
+        periodics_.erase(id);
 }
 
 bool
 Simulator::stopPeriodic(TaskId id)
 {
     auto it = periodics_.find(id);
-    if (it == periodics_.end())
+    if (it == periodics_.end() || it->second.stopped)
         return false;
     it->second.stopped = true;
     if (it->second.pending != kInvalidEvent)
         queue_.cancel(it->second.pending);
-    periodics_.erase(it);
+    if (!it->second.running)
+        periodics_.erase(it);
     return true;
 }
 

@@ -74,6 +74,7 @@ class Simulator
         std::function<void(Tick)> task;
         EventId pending = kInvalidEvent;
         bool stopped = false;
+        bool running = false; ///< task is executing; defer erase
     };
 
     void reschedule(TaskId id);

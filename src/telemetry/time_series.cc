@@ -117,26 +117,12 @@ TimeSeries::stats() const
 double
 TimeSeries::quantile(double q) const
 {
-    if (values_.empty())
-        return 0.0;
     // One quantile needs only the two order statistics straddling
-    // the rank; selecting them (O(n) expected) beats building and
-    // sorting a Percentiles reservoir.  Same closest-rank
-    // interpolation as Percentiles::quantile, bit for bit.
+    // the rank: selecting them beats sorting a Percentiles
+    // reservoir, bit for bit.
     std::vector<double> scratch = values_;
-    q = std::clamp(q, 0.0, 1.0);
-    const double rank = q * static_cast<double>(scratch.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, scratch.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    const auto lo_it =
-        scratch.begin() + static_cast<std::ptrdiff_t>(lo);
-    std::nth_element(scratch.begin(), lo_it, scratch.end());
-    const double lo_val = *lo_it;
-    const double hi_val = hi == lo
-        ? lo_val
-        : *std::min_element(lo_it + 1, scratch.end());
-    return lo_val * (1.0 - frac) + hi_val * frac;
+    return sim::quantileInPlace(scratch.data(),
+                                scratch.data() + scratch.size(), q);
 }
 
 TimeSeries &

@@ -19,7 +19,6 @@
 #define SOC_WORKLOAD_QUEUEING_SERVICE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "power/frequency.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
-#include "sim/stats.hh"
 
 namespace soc
 {
@@ -81,6 +79,13 @@ class QueueingService
     /** Stable identifier of a VM instance within this service. */
     using InstanceId = int;
 
+    /**
+     * @throws std::invalid_argument in every build, before anything
+     *         is scheduled, for workersPerVm < 1, a non-finite or
+     *         non-positive meanServiceMs or sloMultiplier, a
+     *         non-finite or negative serviceCv, or memBoundFrac
+     *         outside [0, 1].
+     */
     QueueingService(sim::Simulator &simulator,
                     MicroserviceParams params, std::uint64_t seed);
 
@@ -127,9 +132,6 @@ class QueueingService
     void setArrivalRate(double per_second);
     double arrivalRate() const { return ratePerSecond_; }
 
-    /** Cumulative end-to-end latency distribution (ms). */
-    const sim::Percentiles &latencies() const { return allLatency_; }
-
     std::uint64_t completedCount() const { return completed_; }
     std::uint64_t violationCount() const { return violations_; }
     std::uint64_t droppedCount() const { return dropped_; }
@@ -139,20 +141,44 @@ class QueueingService
 
     /** Metrics accumulated since the previous drainWindow() call. */
     struct WindowStats {
-        sim::Percentiles latencyMs;
+        /** End-to-end latencies (ms), in completion order. */
+        std::vector<double> latencyMs;
         double utilization = 0.0; ///< busy-core fraction
         std::uint64_t completed = 0;
         std::uint64_t violations = 0;
         std::uint64_t dropped = 0;
     };
 
-    /** Return-and-reset the observation window (WI agent polls). */
-    WindowStats drainWindow();
+    /**
+     * Move the observation window into @p out and start the next one
+     * (WI agent polls).  The sample buffers trade places: @p out's
+     * old buffer, cleared, collects the next window.  A caller that
+     * drains into the same WindowStats every poll thus grows two
+     * buffers to the largest window once and then allocates nothing.
+     */
+    void drainWindow(WindowStats &out);
 
     /** Mean busy-core count integrated since construction. */
     double meanBusyCores() const;
 
   private:
+    /** FIFO of waiting requests' arrival ticks: a vector-backed
+     *  ring that grows by doubling and never shrinks, so a warm
+     *  queue allocates nothing. */
+    class WaitQueue
+    {
+      public:
+        std::size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+        void push(sim::Tick arrival);
+        sim::Tick pop();
+
+      private:
+        std::vector<sim::Tick> buf_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     struct Instance {
         /** Back-pointer, so a completion event captures only
          *  (instance, arrival): 16 bytes, inside std::function's
@@ -160,8 +186,12 @@ class QueueingService
         QueueingService *owner;
         InstanceId id;
         power::FreqMHz freq;
+        /** Mean service time and lognormal mu at freq, refreshed
+         *  whenever freq changes. */
+        double meanServiceMs = 0.0;
+        double mu = 0.0;
         int busy = 0;
-        std::deque<sim::Tick> queue; // arrival ticks of waiting reqs
+        WaitQueue queue;
         bool retired = false;
     };
 
@@ -175,11 +205,15 @@ class QueueingService
     void onCompletion(Instance *inst, sim::Tick arrival,
                       sim::Tick now);
     void accrueBusyTime(sim::Tick now);
-    double sampleServiceMs(power::FreqMHz f);
+    void setInstanceFrequency(Instance &inst, power::FreqMHz f);
+    double sampleServiceMs(const Instance &inst);
 
     sim::Simulator &sim_;
     MicroserviceParams params_;
     sim::Rng rng_;
+    /** Lognormal shape of the service time: sigma^2 = log(1 + cv^2). */
+    double sigma2_ = 0.0;
+    double sigma_ = 0.0;
 
     std::vector<std::unique_ptr<Instance>> instances_;
     InstanceId nextInstance_ = 0;
@@ -188,12 +222,12 @@ class QueueingService
     sim::EventId pendingArrival_ = sim::kInvalidEvent;
 
     // Cumulative metrics.
-    sim::Percentiles allLatency_;
     std::uint64_t completed_ = 0;
     std::uint64_t violations_ = 0;
     std::uint64_t dropped_ = 0;
 
     // Busy-core integral (for utilization).
+    int busyWorkers_ = 0; ///< summed over instances, retired too
     sim::Tick lastBusyUpdate_ = 0;
     double busyCoreTicks_ = 0.0;
     sim::Tick startTick_ = 0;

@@ -63,6 +63,29 @@ TEST(Simulator, TaskCanStopItself)
     EXPECT_EQ(count, 3);
 }
 
+TEST(Simulator, TaskCanStopItselfAndStartAnother)
+{
+    // The running task's entry outlives its own stopPeriodic() until
+    // the task returns, and a task added meanwhile runs normally.
+    Simulator sim;
+    int first = 0;
+    int second = 0;
+    TaskId id = 0;
+    id = sim.every(5, [&](Tick) {
+        if (++first == 2) {
+            EXPECT_TRUE(sim.stopPeriodic(id));
+            EXPECT_FALSE(sim.stopPeriodic(id));
+            for (int k = 0; k < 64; ++k) // rehash the task table
+                sim.every(1000, [](Tick) {});
+            sim.every(3, [&](Tick) { ++second; });
+        }
+    });
+    sim.runUntil(41);
+    EXPECT_EQ(first, 2);
+    EXPECT_EQ(second, 10); // t = 13, 16, ..., 40
+    EXPECT_FALSE(sim.stopPeriodic(id));
+}
+
 TEST(Simulator, MultiplePeriodicTasksInterleave)
 {
     Simulator sim;

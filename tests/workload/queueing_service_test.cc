@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
+#include "sim/stats.hh"
 #include "workload/queueing_service.hh"
 
 using namespace soc;
@@ -22,6 +27,27 @@ simpleService()
     params.memBoundFrac = 0.2;
     params.workersPerVm = 4;
     return params;
+}
+
+/** Quantile @p q of every completion since the last drain. */
+double
+drainedQuantile(QueueingService &service, double q)
+{
+    QueueingService::WindowStats window;
+    service.drainWindow(window);
+    return sim::quantileInPlace(
+        window.latencyMs.data(),
+        window.latencyMs.data() + window.latencyMs.size(), q);
+}
+
+/** Expect the constructor to reject @p params, scheduling nothing. */
+void
+expectRejected(const MicroserviceParams &params)
+{
+    sim::Simulator simr;
+    EXPECT_THROW(QueueingService(simr, params, 1),
+                 std::invalid_argument);
+    EXPECT_TRUE(simr.queue().empty());
 }
 
 } // namespace
@@ -105,7 +131,7 @@ TEST(QueueingService, CompletesRequestsAtModerateLoad)
     service.setArrivalRate(100.0); // rho = 0.25
     simr.runUntil(30 * kSecond);
     EXPECT_GT(service.completedCount(), 2000u);
-    EXPECT_LT(service.latencies().p50(), 3.0 * 10.0);
+    EXPECT_LT(drainedQuantile(service, 0.50), 3.0 * 10.0);
 }
 
 TEST(QueueingService, LatencyGrowsWithLoad)
@@ -119,7 +145,8 @@ TEST(QueueingService, LatencyGrowsWithLoad)
     hi.setArrivalRate(360.0); // rho 0.9
     sim_lo.runUntil(60 * kSecond);
     sim_hi.runUntil(60 * kSecond);
-    EXPECT_GT(hi.latencies().p99(), 1.5 * lo.latencies().p99());
+    EXPECT_GT(drainedQuantile(hi, 0.99),
+              1.5 * drainedQuantile(lo, 0.99));
 }
 
 TEST(QueueingService, OverclockReducesTailUnderLoad)
@@ -133,7 +160,7 @@ TEST(QueueingService, OverclockReducesTailUnderLoad)
     oc.setArrivalRate(340.0);
     sim_a.runUntil(60 * kSecond);
     sim_b.runUntil(60 * kSecond);
-    EXPECT_LT(oc.latencies().p99(), turbo.latencies().p99());
+    EXPECT_LT(drainedQuantile(oc, 0.99), drainedQuantile(turbo, 0.99));
 }
 
 TEST(QueueingService, ScaleOutReducesTailUnderLoad)
@@ -148,7 +175,7 @@ TEST(QueueingService, ScaleOutReducesTailUnderLoad)
     two.setArrivalRate(340.0);
     sim_a.runUntil(60 * kSecond);
     sim_b.runUntil(60 * kSecond);
-    EXPECT_LT(two.latencies().p99(), one.latencies().p99());
+    EXPECT_LT(drainedQuantile(two, 0.99), drainedQuantile(one, 0.99));
     EXPECT_EQ(two.instanceCount(), 2u);
 }
 
@@ -194,12 +221,37 @@ TEST(QueueingService, WindowDrainsAndResets)
     service.addInstance();
     service.setArrivalRate(200.0);
     simr.runUntil(10 * kSecond);
-    const auto w1 = service.drainWindow();
+    QueueingService::WindowStats w1;
+    service.drainWindow(w1);
     EXPECT_GT(w1.completed, 0u);
+    EXPECT_EQ(w1.latencyMs.size(), w1.completed);
     EXPECT_GT(w1.utilization, 0.1);
     EXPECT_LT(w1.utilization, 1.0);
-    const auto w2 = service.drainWindow();
+    QueueingService::WindowStats w2;
+    service.drainWindow(w2);
     EXPECT_EQ(w2.completed, 0u);
+    EXPECT_TRUE(w2.latencyMs.empty());
+}
+
+TEST(QueueingService, DrainTradesBuffersAndKeepsCounting)
+{
+    // Draining into the same WindowStats hands the caller's old
+    // buffer back to the service, cleared; the windows still
+    // partition the completions.
+    sim::Simulator simr;
+    QueueingService service(simr, simpleService(), 14);
+    service.addInstance();
+    service.setArrivalRate(200.0);
+    QueueingService::WindowStats window;
+    std::uint64_t completed = 0;
+    for (int poll = 1; poll <= 6; ++poll) {
+        simr.runUntil(poll * 5 * kSecond);
+        service.drainWindow(window);
+        EXPECT_EQ(window.latencyMs.size(), window.completed);
+        EXPECT_GT(window.completed, 0u);
+        completed += window.completed;
+    }
+    EXPECT_EQ(completed, service.completedCount());
 }
 
 TEST(QueueingService, WindowUtilizationTracksLoad)
@@ -209,7 +261,8 @@ TEST(QueueingService, WindowUtilizationTracksLoad)
     service.addInstance();
     service.setArrivalRate(200.0); // rho = 0.5
     simr.runUntil(60 * kSecond);
-    const auto w = service.drainWindow();
+    QueueingService::WindowStats w;
+    service.drainWindow(w);
     EXPECT_NEAR(w.utilization, 0.5, 0.08);
 }
 
@@ -251,4 +304,78 @@ TEST(QueueingService, FrequencyChangeAffectsNewWork)
     EXPECT_EQ(service.frequency(id), power::kOverclockMHz);
     service.setAllFrequencies(power::kTurboMHz);
     EXPECT_EQ(service.frequency(id), power::kTurboMHz);
+}
+
+TEST(QueueingService, RejectsWorkersPerVmBelowOne)
+{
+    // Zero workers gave zero capacity: every request queued forever
+    // and the dispatch divided by zero.
+    for (const int workers : {0, -1}) {
+        auto params = simpleService();
+        params.workersPerVm = workers;
+        expectRejected(params);
+    }
+}
+
+TEST(QueueingService, RejectsBadMeanServiceMs)
+{
+    for (const double mean :
+         {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        auto params = simpleService();
+        params.meanServiceMs = mean;
+        expectRejected(params);
+    }
+}
+
+TEST(QueueingService, RejectsBadSloMultiplier)
+{
+    for (const double slo :
+         {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        auto params = simpleService();
+        params.sloMultiplier = slo;
+        expectRejected(params);
+    }
+}
+
+TEST(QueueingService, RejectsBadServiceCv)
+{
+    // The lognormal shape log(1 + cv^2) is cached at construction:
+    // NaN here would poison every service time.
+    for (const double cv :
+         {-0.1, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        auto params = simpleService();
+        params.serviceCv = cv;
+        expectRejected(params);
+    }
+}
+
+TEST(QueueingService, RejectsMemBoundFracOutsideUnitInterval)
+{
+    for (const double frac :
+         {-0.01, 1.01, std::numeric_limits<double>::quiet_NaN()}) {
+        auto params = simpleService();
+        params.memBoundFrac = frac;
+        expectRejected(params);
+    }
+}
+
+TEST(QueueingService, AcceptsBoundaryParameters)
+{
+    // A deterministic service (cv 0) and both ends of the memory-
+    // bound range are valid.
+    sim::Simulator simr;
+    auto params = simpleService();
+    params.serviceCv = 0.0;
+    params.memBoundFrac = 1.0;
+    params.workersPerVm = 1;
+    QueueingService service(simr, params, 15);
+    service.addInstance();
+    service.setArrivalRate(20.0);
+    simr.runUntil(5 * kSecond);
+    EXPECT_GT(service.completedCount(), 0u);
+    params.memBoundFrac = 0.0;
+    EXPECT_NO_THROW(QueueingService(simr, params, 16));
 }
