@@ -159,7 +159,11 @@ Archetype::utilAt(sim::Tick t) const
     return std::clamp(util, 0.0, 1.0);
 }
 
-void
+// Cache-line aligned so that the table loop's placement does not
+// depend on the code linked before it: a 32-byte shift of the
+// function made bench_trace_sim's shape fill read 5.7-9.5x its
+// kernel loop instead of 9-12x, on the same code.
+[[gnu::aligned(64)]] void
 Archetype::utilFill(sim::Tick start, sim::Tick interval,
                     std::size_t n, double *out) const
 {
