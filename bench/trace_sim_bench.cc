@@ -35,7 +35,10 @@
  *     Beside them, also gated, the Percentiles reservoir (add, then
  *     a P99: its O(n) radix sort) against a std::sort reference on
  *     ~300k lognormal latencies, the size of a cluster run's
- *     largest load-class reservoir.
+ *     largest load-class reservoir; and the two-tier EventQueue
+ *     against a std::priority_queue (when, seq) reference on the
+ *     cluster sim's traffic (~70 pending, delays log-uniform over
+ *     1-65 ms, 0.5% same-tick), interleaved, best of 5.
  *  6. Paper-scale streaming replay: the full 7,104-rack fleet of
  *     the paper (§III) through the HierarchyZone budget path,
  *     reporting replay throughput (racks over summed rack-seconds,
@@ -68,10 +71,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,6 +87,7 @@
 #include "core/goa.hh"
 #include "hint_storm_common.hh"
 #include "provenance_git.h"
+#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/thread_pool.hh"
@@ -495,6 +502,156 @@ runPercentileSortVsStdSort()
     return out;
 }
 
+/** The event queue against a std::priority_queue reference
+ *  (section 5), on the cluster sim's traffic: about 70 pending
+ *  events, each run scheduling one more at a delay log-uniform over
+ *  1-65 ms, 0.5% of them at the running event's own tick.  Both
+ *  sides run the same 16-byte std::function handlers over the same
+ *  delays; the sides alternate rep by rep; best-of-N. */
+struct EventQueueResult {
+    double referencePerS = 0.0;
+    double queuePerS = 0.0;
+    double speedup = 0.0;
+};
+
+/** The reference: (when, seq) order in a std::priority_queue of
+ *  records holding their handlers. */
+class ReferenceEventQueue
+{
+  public:
+    using Handler = std::function<void(sim::Tick)>;
+
+    sim::Tick now() const { return now_; }
+
+    void
+    schedule(sim::Tick when, Handler handler)
+    {
+        heap_.push(Item{when, nextSeq_++, std::move(handler)});
+    }
+
+    bool
+    step()
+    {
+        if (heap_.empty())
+            return false;
+        // top() is const; the item is popped at once, so moving its
+        // handler out is safe.
+        Item &top = const_cast<Item &>(heap_.top());
+        const sim::Tick when = top.when;
+        Handler handler = std::move(top.handler);
+        heap_.pop();
+        now_ = when;
+        handler(now_);
+        return true;
+    }
+
+  private:
+    struct Item {
+        sim::Tick when;
+        std::uint64_t seq;
+        Handler handler;
+    };
+    struct RunsAfter {
+        bool
+        operator()(const Item &a, const Item &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    sim::Tick now_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    std::priority_queue<Item, std::vector<Item>, RunsAfter> heap_;
+};
+
+/** Replays a delay list through a queue: each event run schedules
+ *  the next delay from its own tick, so the pending count stays at
+ *  its initial value until the list runs out.  tickSum checks that
+ *  both sides ran the same ticks. */
+template <class Queue>
+struct EventReplay {
+    Queue queue;
+    const std::vector<sim::Tick> *delays = nullptr;
+    std::size_t next = 0;
+    sim::Tick tickSum = 0;
+
+    void
+    add(sim::Tick when)
+    {
+        queue.schedule(when, [this](sim::Tick t) { fire(t); });
+    }
+
+    void
+    fire(sim::Tick t)
+    {
+        tickSum += t;
+        if (next < delays->size())
+            add(t + (*delays)[next++]);
+    }
+};
+
+template <class Queue>
+double
+timeEventReplay(const std::vector<sim::Tick> &delays,
+                std::size_t pending, sim::Tick &tick_sum)
+{
+    EventReplay<Queue> replay;
+    replay.delays = &delays;
+    replay.next = pending;
+    for (std::size_t k = 0; k < pending; ++k)
+        replay.add(delays[k]);
+    const auto start = Clock::now();
+    while (replay.queue.step()) {
+    }
+    const double s = secondsSince(start);
+    tick_sum = replay.tickSum;
+    return s;
+}
+
+EventQueueResult
+runEventQueueVsReference()
+{
+    constexpr std::size_t kEvents = std::size_t{1} << 20;
+    constexpr std::size_t kPending = 70;
+    constexpr int kReps = 5;
+    sim::Rng rng(9200);
+    std::vector<sim::Tick> delays(kEvents);
+    const double lo =
+        std::log(static_cast<double>(sim::kMillisecond));
+    const double hi =
+        std::log(static_cast<double>(65 * sim::kMillisecond));
+    for (sim::Tick &d : delays)
+        d = rng.chance(0.005)
+            ? 0
+            : static_cast<sim::Tick>(std::exp(rng.uniform(lo, hi)));
+    double reference_s = 0.0;
+    double queue_s = 0.0;
+    sim::Tick reference_sum = 0;
+    sim::Tick queue_sum = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+        const double r = timeEventReplay<ReferenceEventQueue>(
+            delays, kPending, reference_sum);
+        if (rep == 0 || r < reference_s)
+            reference_s = r;
+        const double q = timeEventReplay<sim::EventQueue>(
+            delays, kPending, queue_sum);
+        if (rep == 0 || q < queue_s)
+            queue_s = q;
+    }
+    // Both sides run the same events at the same ticks.
+    if (reference_sum != queue_sum)
+        std::fprintf(stderr, "(event queue checksum mismatch)\n");
+    const double events = static_cast<double>(kEvents);
+    EventQueueResult out;
+    out.referencePerS =
+        reference_s > 0.0 ? events / reference_s : 0.0;
+    out.queuePerS = queue_s > 0.0 ? events / queue_s : 0.0;
+    out.speedup = out.referencePerS > 0.0
+        ? out.queuePerS / out.referencePerS
+        : 0.0;
+    return out;
+}
+
 /** The paper-scale streaming replay (section 6). */
 struct PaperScaleResult {
     cluster::TraceSimConfig cfg;
@@ -744,6 +901,7 @@ main(int argc, char **argv)
     const auto gen_batch = runGenBatchVsScalar();
     const auto shape_fill = runShapeFillVsUtilAt();
     const auto percentile_sort = runPercentileSortVsStdSort();
+    const auto event_queue = runEventQueueVsReference();
 
     // 6. Paper-scale streaming replay (gated racks/s + peak RSS).
     const auto paper = runPaperScale(args);
@@ -801,7 +959,10 @@ main(int argc, char **argv)
                  "    \"shape_fill_speedup\": %.3f,\n"
                  "    \"percentile_reference_samples_per_s\": %.0f,\n"
                  "    \"percentile_samples_per_s\": %.0f,\n"
-                 "    \"percentile_sort_speedup\": %.3f\n"
+                 "    \"percentile_sort_speedup\": %.3f,\n"
+                 "    \"event_queue_reference_events_per_s\": %.0f,\n"
+                 "    \"event_queue_events_per_s\": %.0f,\n"
+                 "    \"event_queue_speedup\": %.3f\n"
                  "  },\n",
                  cfg.racks, cfg.serversPerRack, wall_s,
                  result.genSeconds, result.simSeconds, racks_per_s,
@@ -827,7 +988,8 @@ main(int argc, char **argv)
                  shape_fill.kernelPerS, shape_fill.fillPerS,
                  shape_fill.speedup, percentile_sort.referencePerS,
                  percentile_sort.percentilesPerS,
-                 percentile_sort.speedup);
+                 percentile_sort.speedup, event_queue.referencePerS,
+                 event_queue.queuePerS, event_queue.speedup);
     printPaperScaleJson(out, args, paper);
     std::fprintf(out, "}\n");
     std::fclose(out);
@@ -839,6 +1001,7 @@ main(int argc, char **argv)
                 "overflow_hints_per_s=%.0f "
                 "gen_batch_speedup=%.3f shape_fill_speedup=%.3f "
                 "percentile_sort_speedup=%.3f "
+                "event_queue_speedup=%.3f "
                 "paper_racks_per_s=%.1f paper_peak_rss_mb=%.1f "
                 "-> %s\n",
                 wall_s, result.genSeconds, result.simSeconds,
@@ -846,7 +1009,7 @@ main(int argc, char **argv)
                 flat_us, hier_us, ingress_bench.hintsPerS,
                 overflow_bench.hintsPerS, gen_batch.speedup,
                 shape_fill.speedup, percentile_sort.speedup,
-                paper.racksPerS, paper.peakRssMb,
+                event_queue.speedup, paper.racksPerS, paper.peakRssMb,
                 args.outPath);
     return 0;
 }

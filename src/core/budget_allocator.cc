@@ -1,7 +1,6 @@
 #include "core/budget_allocator.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -106,7 +105,8 @@ BudgetAllocator::splitWeeklyInto(
             std::to_string(usablePerSlot.size()) + " slots, expected " +
             std::to_string(sim::kSlotsPerWeek));
     }
-    assert(!profiles.empty());
+    if (profiles.empty())
+        throw std::invalid_argument("BudgetAllocator: no profiles");
     const std::size_t n = profiles.size();
     const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
     SplitScratch &scratch = threadScratch();

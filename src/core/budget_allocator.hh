@@ -91,8 +91,9 @@ class BudgetAllocator
      * memory (two members x kSlotsPerWeek matrices plus a few week
      * rows) is thread-local, private to budget_allocator.cc, and
      * keeps its capacity between calls on the same thread, so no
-     * caller carries it between recomputes.  A row of any other length throws
-     * std::invalid_argument before @p out is touched.
+     * caller carries it between recomputes.  A row of any other
+     * length, or an empty @p profiles, throws std::invalid_argument
+     * before @p out is touched.
      */
     void splitWeeklyInto(const std::vector<double> &usablePerSlot,
                          const std::vector<ServerProfile> &profiles,

@@ -35,7 +35,7 @@ foldFlow(int server, std::int32_t vm, std::uint8_t kind)
     return ids + std::uint64_t{kind} * 0x9e3779b97f4a7c15ULL;
 }
 
-/** First allocation of a table or ring; both double from there. */
+/** First allocation of a table; it doubles from there. */
 constexpr std::size_t kMinSlots = 16;
 
 } // namespace
@@ -154,63 +154,6 @@ HintIngress::CountTable<Key>::grow()
     }
 }
 
-void
-HintIngress::Ring::pushBack(const wire::ParsedHint &hint)
-{
-    if (size_ == buf_.size()) {
-        assert(size_ < limit_ && "offer() evicts before a full push");
-        std::vector<wire::ParsedHint> grown(
-            std::min(limit_, std::max(kMinSlots, 2 * buf_.size())));
-        for (std::size_t i = 0; i < size_; ++i)
-            grown[i] = (*this)[i];
-        buf_.swap(grown);
-        head_ = 0;
-    }
-    at(size_) = hint;
-    ++size_;
-}
-
-void
-HintIngress::Ring::popFront()
-{
-    assert(size_ > 0);
-    head_ = wrap(head_ + 1);
-    if (--size_ == 0)
-        head_ = 0;
-}
-
-void
-HintIngress::Ring::erase(std::size_t i)
-{
-    assert(i < size_);
-    if (i < size_ / 2) {
-        for (std::size_t k = i; k > 0; --k)
-            at(k) = at(k - 1);
-        popFront();
-    } else {
-        for (std::size_t k = i; k + 1 < size_; ++k)
-            at(k) = at(k + 1);
-        if (--size_ == 0)
-            head_ = 0;
-    }
-}
-
-void
-HintIngress::Ring::clear()
-{
-    head_ = 0;
-    size_ = 0;
-}
-
-void
-HintIngress::Ring::swap(Ring &other) noexcept
-{
-    buf_.swap(other.buf_);
-    std::swap(head_, other.head_);
-    std::swap(size_, other.size_);
-    std::swap(limit_, other.limit_);
-}
-
 HintIngress::HintIngress(HintIngressConfig config)
     : config_(config), pending_(config.queueCapacity),
       draining_(config.queueCapacity)
@@ -319,7 +262,7 @@ HintIngress::offer(const std::uint8_t *data, std::size_t len,
     if (pending_.size() >= config_.queueCapacity)
         evictForOverflow();
 
-    pending_.pushBack(hint);
+    pending_.push(hint);
     dupCounts_.increment(key);
     if (flowCounts_.increment(key.flow) == 2)
         ++supersedableFlows_;
@@ -351,8 +294,7 @@ HintIngress::drain(sim::Tick now, const Sink &sink)
     // The emptiness check ends the batch if the sink clear()s.
     std::size_t dispatched = 0;
     for (; dispatched < limit && !draining_.empty(); ++dispatched) {
-        const wire::ParsedHint hint = draining_[0];
-        draining_.popFront();
+        const wire::ParsedHint hint = draining_.pop();
         ++stats_.drained;
         if (!sink(hint))
             ++stats_.sinkDrops;

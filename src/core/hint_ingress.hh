@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/wire.hh"
+#include "sim/ring.hh"
 #include "sim/time.hh"
 
 namespace soc
@@ -251,44 +252,6 @@ class HintIngress
         std::uint32_t epoch_ = 1;
     };
 
-    /** FIFO ring of hints; grows by doubling up to a fixed limit and
-     *  keeps its buffer across clear() and swap(). */
-    class Ring
-    {
-      public:
-        explicit Ring(std::size_t limit) : limit_(limit) {}
-
-        std::size_t size() const { return size_; }
-        bool empty() const { return size_ == 0; }
-        const wire::ParsedHint &operator[](std::size_t i) const
-        {
-            return buf_[wrap(head_ + i)];
-        }
-
-        void pushBack(const wire::ParsedHint &hint);
-        void popFront();
-        /** Remove entry @p i, shifting the shorter side (as
-         *  std::deque::erase does). */
-        void erase(std::size_t i);
-        void clear();
-        void swap(Ring &other) noexcept;
-
-      private:
-        std::size_t wrap(std::size_t i) const
-        {
-            return i >= buf_.size() ? i - buf_.size() : i;
-        }
-        wire::ParsedHint &at(std::size_t i)
-        {
-            return buf_[wrap(head_ + i)];
-        }
-
-        std::vector<wire::ParsedHint> buf_;
-        std::size_t head_ = 0;
-        std::size_t size_ = 0;
-        std::size_t limit_;
-    };
-
     static FlowKey flowKey(const wire::ParsedHint &h);
     static DupKey dupKey(const wire::ParsedHint &h);
 
@@ -298,10 +261,11 @@ class HintIngress
     HintIngressConfig config_;
     IngressStats stats_;
 
-    /** Hints accepted but not yet snapshotted for drain. */
-    Ring pending_;
+    /** Hints accepted but not yet snapshotted for drain; both rings
+     *  grow to at most queueCapacity entries. */
+    sim::Ring<wire::ParsedHint> pending_;
     /** The drain-in-progress snapshot. */
-    Ring draining_;
+    sim::Ring<wire::ParsedHint> draining_;
 
     /** Exact-duplicate suppression over pending_ only. */
     CountTable<DupKey> dupCounts_;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace soc
 {
@@ -11,8 +12,13 @@ namespace power
 PowerModel::PowerModel(const PowerModelParams &params)
     : params_(params)
 {
-    assert(params_.cores > 0);
-    assert(params_.tdpWatts > params_.idleWatts);
+    // Checked in every build: the per-core budget divides by the
+    // core count and must be positive (a NaN fails the comparison).
+    if (params_.cores <= 0)
+        throw std::invalid_argument("PowerModel: cores must be > 0");
+    if (!(params_.tdpWatts > params_.idleWatts))
+        throw std::invalid_argument(
+            "PowerModel: tdpWatts must exceed idleWatts");
 
     // Per-core budget at TDP (util = 1, turbo frequency).
     const Watts core_budget =

@@ -67,7 +67,9 @@ struct PowerModelParams {
 
 /**
  * Immutable power model; one instance is shared by every server of a
- * hardware generation.
+ * hardware generation.  The constructor throws std::invalid_argument
+ * in every build unless cores > 0 and tdpWatts > idleWatts (NaN
+ * included).
  */
 class PowerModel
 {

@@ -1,6 +1,6 @@
 #include "power/rack.hh"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace soc
 {
@@ -10,7 +10,9 @@ namespace power
 Rack::Rack(int id, Watts limit)
     : id_(id), limitWatts_(limit)
 {
-    assert(limitWatts_ > Watts{0.0});
+    // Checked in every build (a NaN fails the comparison).
+    if (!(limitWatts_ > Watts{0.0}))
+        throw std::invalid_argument("Rack: limit must be > 0");
 }
 
 Server &

@@ -27,6 +27,8 @@ class Rack
     /**
      * @param id    Rack identifier.
      * @param limit Provisioned (possibly oversubscribed) limit.
+     * @throws std::invalid_argument unless @p limit > 0 (NaN
+     *         included), in every build.
      */
     Rack(int id, Watts limit);
 

@@ -9,22 +9,33 @@
  * cancellation (e.g. a scheduled scale-down cancelled by a new load
  * spike), and periodic events (control-loop ticks).
  *
- * Storage (DESIGN.md §3): a binary heap of (when, seq, slot,
- * generation) records held by value, over a pooled array of handler
- * slots threaded by a free list.  An EventId names a slot and the
- * generation it had when the event was scheduled; running or
- * cancelling an event bumps the slot's generation, so a stale id can
- * never cancel the slot's next occupant, and a heap record whose
- * generation no longer matches is a cancelled event, discarded when
- * it reaches the head.  Once both arrays have grown to the peak
- * number of pending events, scheduling allocates nothing — provided
- * the handler fits std::function's inline buffer (16 bytes in
- * libstdc++, e.g. two pointers).
+ * Storage (DESIGN.md §3): a pooled array of event slots threaded by
+ * a free list, stored in one of two tiers.  The near tier is a
+ * timing wheel of 4,096 buckets of 16 us covering the 65.5 ms from
+ * now(); each bucket chains at most 8 events through their slots and
+ * a 4,096-bit occupancy map finds the first occupied one.  Events
+ * past the window, or headed for a full bucket, go to the far tier,
+ * a binary heap of (when, seq, slot, generation) records held by
+ * value.  An event stays in the tier it was scheduled into; each
+ * step runs the earlier by (when, seq) of the first occupied
+ * bucket's minimum and the heap's live head, so the execution order
+ * is the (when, seq) order alone.
+ *
+ * An EventId names a slot and the generation it had when the event
+ * was scheduled; running or cancelling an event bumps the slot's
+ * generation, so a stale id can never cancel the slot's next
+ * occupant.  Cancelling a near event unlinks it at once; a far
+ * event's heap record stays behind, and a record whose generation no
+ * longer matches is discarded when it reaches the head.  Once the
+ * slot pool and the heap have grown to their peaks, scheduling
+ * allocates nothing — provided the handler fits std::function's
+ * inline buffer (16 bytes in libstdc++, e.g. two pointers).
  */
 
 #ifndef SOC_SIM_EVENT_QUEUE_HH
 #define SOC_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -65,8 +76,9 @@ class EventQueue
 
     /**
      * Schedule @p handler to run at absolute time @p when.
-     * Scheduling in the past is a programming error and asserts.
      *
+     * @throws std::invalid_argument if @p when is before now(), in
+     *         every build, leaving the queue unchanged.
      * @return handle usable with cancel().
      */
     EventId schedule(Tick when, Handler handler);
@@ -107,7 +119,17 @@ class EventQueue
     std::uint64_t executedCount() const { return executed_; }
 
   private:
-    /** Heap record; ordered by (when, seq), so FIFO within a tick. */
+    /** Near-tier geometry: kBuckets buckets of 2^kSpanShift ticks
+     *  (16 us x 4,096 = 65.5 ms), at most kBucketCap events each. */
+    static constexpr int kSpanShift = 4;
+    static constexpr std::uint32_t kBuckets = 4096;
+    static constexpr std::uint8_t kBucketCap = 8;
+    static constexpr std::uint32_t kWords = kBuckets / 64;
+    /** Links hold index + 1 in 32 bits. */
+    static constexpr std::size_t kMaxSlots = 0xffffffffu;
+
+    /** Far-tier heap record; ordered by (when, seq), so FIFO within
+     *  a tick. */
     struct Record {
         Tick when;
         std::uint64_t seq;
@@ -115,20 +137,37 @@ class EventQueue
         std::uint32_t generation;
     };
 
-    /** Pooled handler storage; a free slot's generation has already
+    /** Pooled event storage; a free slot's generation has already
      *  moved past every id issued for it. */
     struct Slot {
-        Handler handler;
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        /** Next event in the bucket (near tier) or next free slot,
+         *  as index + 1; 0 ends the chain. */
+        std::uint32_t link = 0;
         std::uint32_t generation = 1;
-        std::uint32_t nextFree = kNoSlot;
+        bool near = false;
+        Handler handler;
     };
 
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    /** The event step() runs next: a near event is named by the
+     *  link that holds it (its bucket head or its predecessor's
+     *  link); a null link names the far tier's head. */
+    struct Next {
+        std::uint32_t *link = nullptr;
+        std::uint32_t bucket = 0;
+    };
 
     /** A record is live while its slot still has its generation. */
     bool live(const Record &r) const
     {
         return slots_[r.slot].generation == r.generation;
+    }
+
+    static std::uint32_t bucketOf(Tick when)
+    {
+        return static_cast<std::uint32_t>(when >> kSpanShift) &
+            (kBuckets - 1);
     }
 
     /** Retire @p slot's current generation and return it to the
@@ -141,14 +180,39 @@ class EventQueue
     /** Remove and return the heap head. */
     Record popHead();
 
+    /** First occupied bucket in window order from now(); the near
+     *  tier must not be empty. */
+    std::uint32_t firstBucket() const;
+
+    /** Unlink the near event held by @p link from @p bucket. */
+    void unlink(std::uint32_t *link, std::uint32_t bucket);
+
+    /** Find the next event; false when none is pending. */
+    bool findNext(Next &next);
+
+    Tick whenOf(const Next &next) const;
+
+    /** Remove the event @p next names and run it. */
+    void runNext(const Next &next);
+
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t pendingCount_ = 0;
 
-    std::vector<Record> heap_;
     std::vector<Slot> slots_;
-    std::uint32_t freeHead_ = kNoSlot;
+    std::uint32_t freeHead_ = 0; ///< index + 1; 0: none free
+
+    /** Near tier.  All zeros is empty, so construction only clears
+     *  memory.  Bucket b holds the span s with s % kBuckets == b and
+     *  now() >> kSpanShift <= s < that + kBuckets. */
+    std::array<std::uint32_t, kBuckets> heads_{}; ///< index + 1
+    std::array<std::uint8_t, kBuckets> counts_{};
+    std::array<std::uint64_t, kWords> occupied_{};
+    std::uint64_t occupiedWords_ = 0; ///< bit w: occupied_[w] != 0
+
+    /** Far tier. */
+    std::vector<Record> heap_;
 };
 
 } // namespace sim

@@ -1,6 +1,6 @@
 #include "sim/simulator.hh"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace soc
@@ -11,7 +11,11 @@ namespace sim
 TaskId
 Simulator::every(Tick period, std::function<void(Tick)> task, Tick phase)
 {
-    assert(period > 0 && "periodic task needs a positive period");
+    // Checked in every build, before any state changes: a period
+    // of 0 would refire at the same tick forever.
+    if (period <= 0)
+        throw std::invalid_argument(
+            "Simulator: periodic task needs a positive period");
     const TaskId id = nextTask_++;
     Periodic periodic;
     periodic.period = period;

@@ -49,7 +49,9 @@ class Simulator
      * Run @p task every @p period ticks, starting at now() + @p phase.
      * The task keeps rescheduling itself until stopped.
      *
-     * @param period  Interval between invocations; must be > 0.
+     * @param period  Interval between invocations; must be > 0, or
+     *                std::invalid_argument is thrown (every build)
+     *                and no task is added.
      * @param task    Callback receiving the invocation tick.
      * @param phase   Offset of the first invocation (default: one
      *                full period from now).

@@ -1,7 +1,6 @@
 #include "workload/queueing_service.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -358,33 +357,6 @@ QueueingService::drainWindow(WindowStats &out)
     windowStart_ = sim_.now();
 }
 
-void
-QueueingService::WaitQueue::push(sim::Tick arrival)
-{
-    if (size_ == buf_.size()) {
-        // Amortized: the ring doubles and never shrinks, so a warm
-        // queue never grows.  soclint:allow(PERF-001)
-        buf_.resize(std::max<std::size_t>(16, 2 * size_));
-        // The wrapped front [0, head_) now continues past the old end.
-        std::copy_n(buf_.begin(), head_, buf_.begin() + size_);
-    }
-    std::size_t tail = head_ + size_;
-    if (tail >= buf_.size())
-        tail -= buf_.size();
-    buf_[tail] = arrival;
-    ++size_;
-}
-
-sim::Tick
-QueueingService::WaitQueue::pop()
-{
-    assert(size_ > 0);
-    const sim::Tick front = buf_[head_];
-    if (++head_ == buf_.size())
-        head_ = 0;
-    --size_;
-    return front;
-}
 // soclint:hot-end(PERF-001)
 
 double

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "power/frequency.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 
@@ -162,23 +163,6 @@ class QueueingService
     double meanBusyCores() const;
 
   private:
-    /** FIFO of waiting requests' arrival ticks: a vector-backed
-     *  ring that grows by doubling and never shrinks, so a warm
-     *  queue allocates nothing. */
-    class WaitQueue
-    {
-      public:
-        std::size_t size() const { return size_; }
-        bool empty() const { return size_ == 0; }
-        void push(sim::Tick arrival);
-        sim::Tick pop();
-
-      private:
-        std::vector<sim::Tick> buf_;
-        std::size_t head_ = 0;
-        std::size_t size_ = 0;
-    };
-
     struct Instance {
         /** Back-pointer, so a completion event captures only
          *  (instance, arrival): 16 bytes, inside std::function's
@@ -191,7 +175,9 @@ class QueueingService
         double meanServiceMs = 0.0;
         double mu = 0.0;
         int busy = 0;
-        WaitQueue queue;
+        /** Waiting requests' arrival ticks, FIFO; the ring never
+         *  shrinks, so a warm queue allocates nothing. */
+        sim::Ring<sim::Tick> queue;
         bool retired = false;
     };
 

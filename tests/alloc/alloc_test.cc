@@ -217,6 +217,66 @@ TEST(AllocGuard, EventQueueWithSixteenByteHandlersAllocatesNothing)
     EXPECT_EQ(load.queue.executedCount(), 120000u);
 }
 
+TEST(AllocGuard, EventQueueAcrossBothTiersAllocatesNothing)
+{
+    // 96 pending events whose delays span the near tier (16 us to
+    // 65 ms) and the far tier (up to ~2 s), with a same-tick burst
+    // of 12 (more than a bucket holds, so 4 spill to the heap)
+    // every 64 firings and cancels that hit both tiers.
+    struct Load {
+        sim::EventQueue queue;
+        std::vector<sim::EventId> ids;
+        std::uint64_t fired = 0;
+
+        void
+        add(std::size_t k, sim::Tick when)
+        {
+            ids[k] = queue.schedule(
+                when, [this, k](sim::Tick t) { fire(k, t); });
+        }
+
+        void
+        fire(std::size_t k, sim::Tick t)
+        {
+            ++fired;
+            const std::uint64_t h = (k * 7919 + fired) * 2654435761u;
+            // Mostly 1-65 ms ahead, 1 in 16 far, some at this tick.
+            const auto ms = static_cast<sim::Tick>(h % 1900);
+            const sim::Tick delay = h % 16 == 0
+                ? (70 + ms) * sim::kMillisecond
+                : static_cast<sim::Tick>((h >> 8) % 65000);
+            add(k, t + delay);
+            const std::size_t other = (k * 31 + fired) % ids.size();
+            const auto later = static_cast<sim::Tick>(h % 200000);
+            if (other != k && queue.cancel(ids[other]))
+                add(other, t + 3 + later);
+            if (fired % 64 == 0) {
+                const sim::Tick tick = t + 40 * sim::kMillisecond;
+                for (std::size_t j = 0; j < 12; ++j) {
+                    const std::size_t b = (k + 1 + j) % ids.size();
+                    if (b != k && queue.cancel(ids[b]))
+                        add(b, tick);
+                }
+            }
+        }
+    };
+    Load load;
+    load.ids.resize(96);
+    for (std::size_t k = 0; k < load.ids.size(); ++k)
+        load.add(k, static_cast<sim::Tick>(k * 997));
+    for (int i = 0; i < 50000; ++i)
+        load.queue.step();
+
+    const std::uint64_t before = g_allocations;
+    for (int i = 0; i < 200000; ++i)
+        load.queue.step();
+    EXPECT_EQ(g_allocations - before, 0u);
+    EXPECT_EQ(load.queue.size(), 96u);
+    EXPECT_EQ(load.queue.executedCount(), 250000u);
+    // The run crossed many 65 ms windows.
+    EXPECT_GT(load.queue.now(), 100 * sim::kSecond);
+}
+
 namespace
 {
 

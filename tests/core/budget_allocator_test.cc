@@ -386,3 +386,16 @@ TEST(BudgetAllocator, ConcurrentSplitsMatchSingleThread)
         expectBitIdentical(second[k], expected[k]);
     }
 }
+
+TEST(BudgetAllocator, EmptyProfilesThrowBeforeTouchingOutput)
+{
+    BudgetAllocator allocator(model());
+    const std::vector<double> row(sim::kSlotsPerWeek, 1000.0);
+    std::vector<ProfileTemplate> out(2, ProfileTemplate::flat(7.0));
+    EXPECT_THROW(allocator.splitWeeklyInto(row, {}, out),
+                 std::invalid_argument);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].predict(0), 7.0);
+    EXPECT_THROW(allocator.split(power::Watts{1000.0}, {}),
+                 std::invalid_argument);
+}

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "power/power_model.hh"
 
 using namespace soc::power;
@@ -173,3 +176,21 @@ TEST_P(PowerMonotoneProperty, MonotoneInUtil)
 INSTANTIATE_TEST_SUITE_P(Ladder, PowerMonotoneProperty,
                          ::testing::Values(1600, 2400, 3000, 3300,
                                            3600, 4000));
+
+TEST(PowerModel, RejectsNoCoresAndTdpNotAboveIdle)
+{
+    PowerModelParams p;
+    p.cores = 0;
+    EXPECT_THROW(PowerModel{p}, std::invalid_argument);
+    p.cores = -4;
+    EXPECT_THROW(PowerModel{p}, std::invalid_argument);
+    p = PowerModelParams{};
+    p.tdpWatts = p.idleWatts;
+    EXPECT_THROW(PowerModel{p}, std::invalid_argument);
+    p.tdpWatts = Watts{std::nan("")};
+    EXPECT_THROW(PowerModel{p}, std::invalid_argument);
+    p = PowerModelParams{};
+    p.idleWatts = Watts{std::nan("")};
+    EXPECT_THROW(PowerModel{p}, std::invalid_argument);
+    EXPECT_NO_THROW(PowerModel{PowerModelParams{}});
+}

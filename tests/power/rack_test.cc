@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "power/rack.hh"
 
 using namespace soc::power;
@@ -60,4 +63,12 @@ TEST(Rack, LimitIsMutable)
     Rack rack(0, Watts{1000.0});
     rack.setLimitWatts(Watts{500.0});
     EXPECT_EQ(rack.limitWatts(), Watts{500.0});
+}
+
+TEST(Rack, RejectsNonPositiveOrNaNLimit)
+{
+    EXPECT_THROW(Rack(0, Watts{0.0}), std::invalid_argument);
+    EXPECT_THROW(Rack(0, Watts{-100.0}), std::invalid_argument);
+    EXPECT_THROW(Rack(0, Watts{std::nan("")}), std::invalid_argument);
+    EXPECT_NO_THROW(Rack(0, Watts{1.0}));
 }

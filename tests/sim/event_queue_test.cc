@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -207,6 +209,26 @@ TEST(EventQueue, StaleIdNeverCancelsSlotsNextEvent)
     EXPECT_FALSE(q.cancel(soc::sim::kInvalidEvent));
 }
 
+TEST(EventQueue, SchedulingIntoThePastThrowsAndLeavesQueueUnchanged)
+{
+    EventQueue q;
+    std::vector<Tick> ran;
+    q.schedule(100, [&](Tick t) { ran.push_back(t); });
+    q.runUntil(50);
+    bool past_ran = false;
+    EXPECT_THROW(q.schedule(49, [&](Tick) { past_ran = true; }),
+                 std::invalid_argument);
+    EXPECT_THROW(q.scheduleAfter(-1, [&](Tick) { past_ran = true; }),
+                 std::invalid_argument);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.now(), 50);
+    q.run();
+    EXPECT_FALSE(past_ran);
+    EXPECT_EQ(ran, (std::vector<Tick>{100}));
+    EXPECT_EQ(q.executedCount(), 1u);
+    EXPECT_EQ(q.now(), 100);
+}
+
 namespace
 {
 
@@ -398,4 +420,162 @@ TEST(EventQueue, MatchesWhenSeqReferenceOnRandomSequences)
     }
     // Many cancels targeted an id whose slot a later event held.
     EXPECT_GT(stale_reused, 100u);
+}
+
+namespace
+{
+
+/** Delays log-uniform over [0 us, 2 h]: same tick, one 16 us
+ *  bucket, the near tier's 65.5 ms window and far beyond it. */
+Tick
+logUniformDelay(soc::sim::Rng &rng)
+{
+    const double top = std::log(2.0 * static_cast<double>(
+                                          soc::sim::kHour) + 1.0);
+    return static_cast<Tick>(std::exp(rng.uniform(0.0, top))) - 1;
+}
+
+/** Is @p when inside the near tier's window at @p now? */
+bool
+inWindow(Tick now, Tick when)
+{
+    return (when >> 4) - (now >> 4) < 4096;
+}
+
+/**
+ * Drives one queue across both tiers.  As Driver, but the delays
+ * are log-uniform up to 2 h, and a handler may schedule a same-tick
+ * burst larger than a bucket holds.  Cancels are counted by the
+ * tier the cancelled event was scheduled into.
+ */
+template <class Queue>
+struct TierDriver {
+    static constexpr std::size_t kMaxEvents = 4000;
+
+    explicit TierDriver(std::uint64_t seed_) : seed(seed_) {}
+
+    void
+    add(Tick when)
+    {
+        if (ids.size() >= kMaxEvents)
+            return;
+        const std::size_t index = ids.size();
+        near.push_back(inWindow(queue.now(), when));
+        ids.push_back(queue.schedule(
+            when, [this, index](Tick t) { fire(index, t); }));
+    }
+
+    void
+    burst(Tick when, std::int64_t n)
+    {
+        for (std::int64_t k = 0; k < n; ++k)
+            add(when);
+    }
+
+    void
+    cancel(std::size_t index)
+    {
+        const bool cancelled = queue.cancel(ids[index]);
+        cancels.push_back(cancelled);
+        if (cancelled)
+            ++(near[index] ? nearCancels : farCancels);
+    }
+
+    void
+    fire(std::size_t index, Tick t)
+    {
+        log.emplace_back(index, t);
+        soc::sim::Rng rng(seed * 1000003u + index);
+        if (rng.chance(0.3))
+            cancel(static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(ids.size()) - 1)));
+        if (rng.chance(0.02))
+            burst(t + logUniformDelay(rng), rng.uniformInt(9, 20));
+        const auto children = rng.uniformInt(0, 2);
+        for (std::int64_t c = 0; c < children; ++c)
+            if (rng.chance(0.45))
+                add(t + logUniformDelay(rng));
+    }
+
+    std::uint64_t seed;
+    Queue queue;
+    std::vector<EventId> ids;
+    std::vector<bool> near;
+    std::vector<std::pair<std::size_t, Tick>> log;
+    std::vector<bool> cancels;
+    std::size_t nearCancels = 0;
+    std::size_t farCancels = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesWhenSeqReferenceAcrossBothTiers)
+{
+    std::size_t near_cancels = 0;
+    std::size_t far_cancels = 0;
+    std::size_t far_scheduled = 0;
+    std::size_t window_jumps = 0;
+    for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+        TierDriver<EventQueue> tiered(seed);
+        TierDriver<ReferenceQueue> reference(seed);
+        soc::sim::Rng rng(seed);
+        for (int op = 0; op < 400; ++op) {
+            const double r = rng.uniform();
+            if (r < 0.35) {
+                const Tick when =
+                    tiered.queue.now() + logUniformDelay(rng);
+                tiered.add(when);
+                reference.add(when);
+            } else if (r < 0.40) {
+                const Tick when =
+                    tiered.queue.now() + logUniformDelay(rng);
+                const auto n = rng.uniformInt(9, 24);
+                tiered.burst(when, n);
+                reference.burst(when, n);
+            } else if (r < 0.60) {
+                if (tiered.ids.empty())
+                    continue;
+                const auto index = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          tiered.ids.size()) - 1));
+                tiered.cancel(index);
+                reference.cancel(index);
+            } else if (r < 0.92) {
+                ASSERT_EQ(tiered.queue.step(),
+                          reference.queue.step());
+            } else {
+                const Tick delay = logUniformDelay(rng);
+                window_jumps += delay >= 4096 * 16;
+                const Tick until = tiered.queue.now() + delay;
+                tiered.queue.runUntil(until);
+                reference.queue.runUntil(until);
+            }
+            ASSERT_EQ(tiered.queue.now(), reference.queue.now());
+            ASSERT_EQ(tiered.queue.size(), reference.queue.size());
+            ASSERT_EQ(tiered.queue.empty(), reference.queue.empty());
+            ASSERT_EQ(tiered.queue.executedCount(),
+                      reference.queue.executedCount());
+            ASSERT_EQ(tiered.log, reference.log)
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(tiered.cancels, reference.cancels)
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(tiered.ids.size(), reference.ids.size());
+        }
+        tiered.queue.run();
+        reference.queue.run();
+        ASSERT_EQ(tiered.log, reference.log) << "seed " << seed;
+        ASSERT_EQ(tiered.queue.now(), reference.queue.now());
+        ASSERT_EQ(tiered.queue.executedCount(),
+                  reference.queue.executedCount());
+        near_cancels += tiered.nearCancels;
+        far_cancels += tiered.farCancels;
+        for (const bool n : tiered.near)
+            far_scheduled += !n;
+    }
+    // Both tiers saw traffic and cancels, and runUntil crossed the
+    // window many times.
+    EXPECT_GT(near_cancels, 500u);
+    EXPECT_GT(far_cancels, 500u);
+    EXPECT_GT(far_scheduled, 5000u);
+    EXPECT_GT(window_jumps, 200u);
 }

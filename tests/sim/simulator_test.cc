@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/simulator.hh"
 
 using namespace soc::sim;
@@ -114,4 +116,22 @@ TEST(Simulator, RunUntilLeavesClockAtBoundary)
     sim.every(7, [](Tick) {});
     sim.runUntil(100);
     EXPECT_EQ(sim.now(), 100);
+}
+
+TEST(Simulator, NonPositivePeriodThrowsAndAddsNoTask)
+{
+    Simulator sim;
+    int fired = 0;
+    // ASSERT: an accepted 0 period would refire forever below.
+    ASSERT_THROW(sim.every(0, [&](Tick) { ++fired; }),
+                 std::invalid_argument);
+    ASSERT_THROW(sim.every(-5, [&](Tick) { ++fired; }, 0),
+                 std::invalid_argument);
+    ASSERT_TRUE(sim.queue().empty());
+    sim.runUntil(100);
+    EXPECT_EQ(fired, 0);
+    // Task ids are unchanged by the rejected calls.
+    EXPECT_FALSE(sim.stopPeriodic(1));
+    const TaskId id = sim.every(10, [&](Tick) { ++fired; });
+    EXPECT_EQ(id, 1u);
 }

@@ -2,6 +2,8 @@
  *  a declared replay hot region. */
 
 #include <cstddef>
+#include <map>
+#include <string>
 #include <vector>
 
 void
@@ -27,4 +29,24 @@ refillWindow(std::size_t n, unsigned short *util, std::size_t stride)
         util[k * stride] =
             static_cast<unsigned short>(column[k] * 65535.0);
     // soclint:hot-end(PERF-001)
+}
+
+/** Allocations spelled without an allocating member call: a
+ *  container constructed with a size or elements, an insert, and
+ *  string concatenation, once per event. */
+void
+onEvent(std::vector<int> &ids, std::map<int, double> &seen,
+        std::string &log, std::size_t n, int id)
+{
+    // soclint:hot-begin(PERF-001)
+    std::vector<double> grown(n);
+    std::vector<std::size_t> one{n};
+    std::vector<int>(n).swap(ids);
+    seen.insert({id, 1.0});
+    ids.insert(ids.begin(), id);
+    log = "event " + std::to_string(id);
+    log += "\n";
+    // soclint:hot-end(PERF-001)
+    (void)grown;
+    (void)one;
 }

@@ -2,6 +2,7 @@
  *  allocation only in setup, annotated amortized growth allowed. */
 
 #include <cstddef>
+#include <map>
 #include <vector>
 
 void
@@ -48,4 +49,24 @@ refillWindow(std::size_t n, unsigned short *util, float *watts,
         done += m;
     }
     // soclint:hot-end(PERF-001)
+}
+
+/** Lookalikes that allocate nothing: an empty container, a
+ *  reference to a container, arithmetic `+`, and a find() instead
+ *  of an insert(). */
+double
+lookalikes(std::vector<double> &buf,
+           const std::map<int, double> &seen, int id, double a,
+           double b)
+{
+    // soclint:hot-begin(PERF-001)
+    std::vector<double> empty;
+    std::vector<double> braces{};
+    std::vector<double> &ref = buf;
+    const auto it = seen.find(id);
+    double sum = a + b + (it != seen.end() ? it->second : 0.0);
+    sum += static_cast<double>(ref.size() + empty.size() +
+                               braces.size());
+    // soclint:hot-end(PERF-001)
+    return sum;
 }

@@ -854,6 +854,65 @@ runUnit003(const FileCtx &ctx, std::vector<Finding> &out)
 // is itself a finding and never suppressible (fail-closed).
 // --------------------------------------------------------------
 
+/** Is @p i a standard container (or string) named `std::X`? */
+bool
+isStdContainer(const Toks &T, std::size_t i)
+{
+    return i >= 2 && isPunct(T[i - 1], "::") &&
+        isIdent(T[i - 2], "std") &&
+        identAmong(T[i], {"vector", "deque", "list", "forward_list",
+                          "map", "multimap", "set", "multiset",
+                          "unordered_map", "unordered_set",
+                          "unordered_multimap", "unordered_multiset",
+                          "string", "basic_string"});
+}
+
+/** Is the container named at @p i constructed with arguments:
+ *  `std::vector<T> v(n)`, `std::vector<T> v{n}`, or the temporary
+ *  `std::vector<T>(n)`?  Empty parentheses or braces construct an
+ *  empty container, which allocates nothing. */
+bool
+constructsWithArgs(const Toks &T, std::size_t i)
+{
+    std::size_t j = i + 1;
+    if (j < T.size() && isPunct(T[j], "<"))
+        j = matchTemplateArgs(T, j);
+    if (j < T.size() && T[j].kind == Tk::Ident)
+        ++j; // the variable's name
+    if (j + 1 >= T.size() ||
+        !(isPunct(T[j], "(") || isPunct(T[j], "{")))
+        return false;
+    return !isPunct(T[j + 1], T[j].text == "(" ? ")" : "}");
+}
+
+/** Does the `+` or `+=` at @p i concatenate strings: is an operand
+ *  a string literal, a `to_string(...)` call or a `std::string(...)`
+ *  temporary? */
+bool
+concatenatesStrings(const Toks &T, std::size_t i)
+{
+    if ((i > 0 && T[i - 1].kind == Tk::Str) ||
+        (i + 1 < T.size() && T[i + 1].kind == Tk::Str))
+        return true;
+    std::size_t r = i + 1;
+    if (r + 1 < T.size() && isIdent(T[r], "std") &&
+        isPunct(T[r + 1], "::"))
+        r += 2;
+    if (r < T.size() && identAmong(T[r], {"to_string", "string"}))
+        return true;
+    if (i == 0 || !isPunct(T[i - 1], ")"))
+        return false;
+    // The left operand ends in a call: find its "(" and name.
+    int depth = 0;
+    for (std::size_t k = i - 1; k > 0; --k) {
+        if (isPunct(T[k], ")"))
+            ++depth;
+        else if (isPunct(T[k], "(") && --depth == 0)
+            return identAmong(T[k - 1], {"to_string", "string"});
+    }
+    return false;
+}
+
 void
 runPerf001(const FileCtx &ctx, std::vector<Finding> &out)
 {
@@ -890,12 +949,20 @@ runPerf001(const FileCtx &ctx, std::vector<Finding> &out)
                                 {"push_back", "emplace_back"}) &&
                      t + 1 < T.size() && isPunct(T[t + 1], "("))
                 alloc = true;
-            else if (identAmong(T[t],
-                                {"resize", "reserve", "assign"}) &&
+            else if (identAmong(T[t], {"resize", "reserve", "assign",
+                                       "insert", "emplace",
+                                       "emplace_hint", "try_emplace",
+                                       "push_front",
+                                       "emplace_front"}) &&
                      t > 0 &&
                      (isPunct(T[t - 1], ".") ||
                       isPunct(T[t - 1], "->")) &&
                      t + 1 < T.size() && isPunct(T[t + 1], "("))
+                alloc = true;
+            else if (isStdContainer(T, t) && constructsWithArgs(T, t))
+                alloc = true;
+            else if ((isPunct(T[t], "+") || isPunct(T[t], "+=")) &&
+                     concatenatesStrings(T, t))
                 alloc = true;
             if (alloc)
                 emit(ctx, out, T[t].line, "PERF-001",
