@@ -39,9 +39,10 @@
 #  - the two-tier EventQueue (16 us timing wheel over the binary
 #    heap) must stay EVENT_QUEUE_SPEEDUP_MIN faster than a
 #    std::priority_queue (when, seq) reference with the same
-#    std::function handlers, on the cluster sim's traffic (~70
-#    pending events, delays log-uniform over 1-65 ms, 0.5%
-#    same-tick; 2.2-3.0x measured; the floor is the low end less
+#    std::function handlers, on the cluster sim's measured traffic
+#    (52 pending; 23.7% of delays under 1 ms, 76.0% over
+#    1-65.5 ms, 0.26% past the wheel; 0.44% same-tick;
+#    2.68-2.83x measured; the floor is below the low end less
 #    ~20%).  A ratio, timed interleaved, so a slow host moves both
 #    sides alike;
 #  - the paper-scale run (7,104 racks x 8 servers, 6h + 6h,

@@ -2,8 +2,8 @@
 # Full CI gate: tier-1 build + tests, the repository benchmark's
 # correctness checks, the bench regression gates, the
 # static-analysis chain, ThreadSanitizer, the suite under
-# UndefinedBehaviorSanitizer, and the chaos suite under
-# AddressSanitizer.
+# UndefinedBehaviorSanitizer, and the chaos suite and the sim
+# engine's tests under AddressSanitizer.
 # Each stage uses its own build directory so sanitizer flags never
 # leak between configurations.  Usage: scripts/ci_check.sh
 set -e
@@ -144,13 +144,16 @@ cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DSOC_SANITIZE=undefined
 cmake --build "$ROOT/build-ubsan" -j "$(nproc)"
 ctest --test-dir "$ROOT/build-ubsan" --output-on-failure -j "$(nproc)"
 
-echo "==== ci_check: chaos suite under AddressSanitizer ===="
+echo "==== ci_check: chaos suite and sim tests under AddressSanitizer ===="
 # The fault-injection suite drives the gOA's push queue (its
 # delivery cursor and the clear once drained), crash-restarts and
-# the hint ingress, where a heap error would hide.
+# the hint ingress, where a heap error would hide.  test_sim covers
+# the event queue's slot pool and wheel, sim::Ring and the periodic
+# tasks' storage.
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DSOC_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$(nproc)" --target test_chaos
+cmake --build "$ROOT/build-asan" -j "$(nproc)" --target test_chaos \
+    test_sim
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$(nproc)" \
-    -L chaos
+    -L 'chaos|sim'
 
 echo "==== ci_check: all stages passed ===="

@@ -46,17 +46,8 @@ quantThreshold(double threshold)
 } // namespace
 
 FleetState::FleetState(double ocUtilThreshold)
-    : threshold_(ocUtilThreshold),
-      qThreshold_(quantThreshold(ocUtilThreshold))
+    : qThreshold_(quantThreshold(ocUtilThreshold))
 {
-}
-
-double
-FleetState::util(std::size_t server, std::size_t v) const
-{
-    return sim::dequantUtil(
-        utilBySlot_[(lastSlot_ - windowBegin_) * totalVms() +
-                    offsets_[server] + v]);
 }
 
 void
@@ -152,7 +143,6 @@ FleetState::applySlot(power::Rack &rack, std::size_t slot)
     assert(windowFinal_ && "FleetState: applySlot before finalize");
     assert(slot >= windowBegin_ && slot < windowEnd() &&
            "FleetState: slot outside the streamed window");
-    lastSlot_ = slot;
     const std::size_t row = slot - windowBegin_;
     const std::size_t total = totalVms();
     const std::size_t servers = counts_.size();

@@ -113,8 +113,6 @@ class FleetState
      *  then replay any slot of the window. */
     void finalizeWindow();
 
-    /** First slot of the current window. */
-    std::size_t windowBegin() const { return windowBegin_; }
     /** One past the last slot of the current window (0 before the
      *  first beginWindow). */
     std::size_t windowEnd() const
@@ -143,20 +141,14 @@ class FleetState
         return want_[server];
     }
 
-    /** Utilization of VM @p v on @p server at the last applied
-     *  slot (valid after the first applySlot); the dequantized
-     *  value every other reader of the column sees. */
-    double util(std::size_t server, std::size_t v) const;
-
   private:
-    double threshold_;
     /** Smallest quantized utilization whose dequantized value
-     *  reaches threshold_ (65536 when threshold_ > 1, so no sample
-     *  ever wants): finalizeWindow's integer want compare is exactly
-     *  the dequantize-then-compare it replaces. */
+     *  reaches the overclock threshold (65536 when the threshold
+     *  exceeds 1, so no sample ever wants): finalizeWindow's integer
+     *  want compare is exactly the dequantize-then-compare it
+     *  replaces. */
     std::uint32_t qThreshold_;
     std::size_t slots_ = 0;
-    std::size_t lastSlot_ = 0;
 
     /** Per-server [offset, offset+count) range into the VM columns. */
     std::vector<std::size_t> offsets_;

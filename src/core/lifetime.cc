@@ -229,67 +229,5 @@ WearJournal::replay(OverclockBudget &budget,
     }
 }
 
-TimeInState::TimeInState(int cores)
-{
-    if (cores <= 0)
-        throw std::invalid_argument("TimeInState: cores must be > 0");
-    accumulated_.assign(static_cast<std::size_t>(cores), 0);
-    sinceTick_.assign(static_cast<std::size_t>(cores), -1);
-}
-
-void
-TimeInState::startOverclock(int core, sim::Tick now)
-{
-    assert(core >= 0 && core < cores());
-    if (sinceTick_[core] < 0)
-        sinceTick_[core] = now;
-}
-
-void
-TimeInState::stopOverclock(int core, sim::Tick now)
-{
-    assert(core >= 0 && core < cores());
-    if (sinceTick_[core] >= 0) {
-        accumulated_[core] += now - sinceTick_[core];
-        sinceTick_[core] = -1;
-    }
-}
-
-bool
-TimeInState::overclocked(int core) const
-{
-    assert(core >= 0 && core < cores());
-    return sinceTick_[core] >= 0;
-}
-
-int
-TimeInState::overclockedCores() const
-{
-    int count = 0;
-    for (sim::Tick since : sinceTick_)
-        if (since >= 0)
-            ++count;
-    return count;
-}
-
-sim::Tick
-TimeInState::overclockedTime(int core, sim::Tick now) const
-{
-    assert(core >= 0 && core < cores());
-    sim::Tick total = accumulated_[core];
-    if (sinceTick_[core] >= 0)
-        total += now - sinceTick_[core];
-    return total;
-}
-
-sim::Tick
-TimeInState::totalOverclockedTime(sim::Tick now) const
-{
-    sim::Tick total = 0;
-    for (int core = 0; core < cores(); ++core)
-        total += overclockedTime(core, now);
-    return total;
-}
-
 } // namespace core
 } // namespace soc

@@ -17,8 +17,9 @@
  *    (e.g. 10% of a 5-year horizon, split into weekly epochs with
  *    per-weekday allowances and carry-over of unused budget).
  *
- *  - TimeInState: per-core overclocked time-in-state tracking, the
- *    simulated analogue of Intel PMT / AMD HSMP counters.
+ *  - WearJournal: the crash-safe record of consumed budget.  With
+ *    the sOA's per-core epoch usage it stands in for the Intel PMT /
+ *    AMD HSMP time-in-state counters.
  */
 
 #ifndef SOC_CORE_LIFETIME_HH
@@ -240,42 +241,6 @@ class WearJournal
     std::vector<sim::Tick> coreUsedLatest_;
     std::int64_t latestEpoch_ = 0;
     std::uint64_t appends_ = 0;
-};
-
-/**
- * Per-core overclocked time-in-state tracker (Intel PMT analogue).
- */
-class TimeInState
-{
-  public:
-    /** @throws std::invalid_argument unless cores > 0. */
-    explicit TimeInState(int cores);
-
-    int cores() const
-    {
-        return static_cast<int>(sinceTick_.size());
-    }
-
-    /** Mark @p core as overclocked starting at @p now. */
-    void startOverclock(int core, sim::Tick now);
-
-    /** Mark @p core as back at/below turbo at @p now. */
-    void stopOverclock(int core, sim::Tick now);
-
-    bool overclocked(int core) const;
-
-    /** Number of cores currently overclocked. */
-    int overclockedCores() const;
-
-    /** Accumulated overclocked time of @p core up to @p now. */
-    sim::Tick overclockedTime(int core, sim::Tick now) const;
-
-    /** Sum of overclocked core-time up to @p now. */
-    sim::Tick totalOverclockedTime(sim::Tick now) const;
-
-  private:
-    std::vector<sim::Tick> accumulated_;
-    std::vector<sim::Tick> sinceTick_; // -1 when not overclocked
 };
 
 } // namespace core

@@ -76,7 +76,6 @@ ServerOverclockingAgent::ServerOverclockingAgent(
       admission_(server.model(), config.admission),
       lifetime_(config.budgetEpoch, config.overclockFraction,
                 server.totalCores(), config.carryoverCap),
-      tis_(server.totalCores()),
       journal_(server.totalCores(), config.budgetEpoch),
       coreUsedEpoch_(server.totalCores(), 0),
       regularAgg_(config.templateWindow),
@@ -249,8 +248,6 @@ ServerOverclockingAgent::requestOverclock(
     oc.grantedUntil = decision.grantedUntil;
     oc.startedAt = now;
     oc.coreSet = pickCores(request.cores, now);
-    for (int core : oc.coreSet)
-        tis_.startOverclock(core, now);
     active_.emplace(lowerBoundKey(active_, request.groupId),
                     request.groupId, std::move(oc));
 
@@ -307,8 +304,6 @@ ServerOverclockingAgent::stopOverclock(int group_id, sim::Tick now)
         lifetime_.release(
             (oc.grantedUntil - now) * oc.request.cores, now);
     }
-    for (int core : oc.coreSet)
-        tis_.stopOverclock(core, now);
     releaseCores(std::move(oc.coreSet));
     server_.setTarget(group_id, power::kTurboMHz);
     active_.erase(it);
@@ -701,8 +696,6 @@ ServerOverclockingAgent::lifetimeAccounting(sim::Tick now)
         // §IV-D: explore whether other cores still have budget and
         // reschedule the VM there; otherwise revoke.
         // The old cores stay held while the fresh ones are picked.
-        for (int core : oc.coreSet)
-            tis_.stopOverclock(core, now);
         std::vector<std::uint16_t> fresh =
             pickCores(static_cast<int>(oc.coreSet.size()), now);
         bool viable = true;
@@ -712,8 +705,6 @@ ServerOverclockingAgent::lifetimeAccounting(sim::Tick now)
         if (viable && fresh.size() == oc.coreSet.size()) {
             releaseCores(std::move(oc.coreSet));
             oc.coreSet = std::move(fresh);
-            for (int core : oc.coreSet)
-                tis_.startOverclock(core, now);
             ++stats_.coreReschedules;
         } else {
             releaseCores(std::move(fresh));
@@ -839,8 +830,6 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
     // frequencies back to turbo when the agent dies.
     for (auto &[group_id, oc] : active_) {
         chargeWear(oc, lastAccounting_, now, now);
-        for (int core : oc.coreSet)
-            tis_.stopOverclock(core, now);
         releaseCores(std::move(oc.coreSet));
         server_.setTarget(group_id, power::kTurboMHz);
     }
@@ -856,7 +845,6 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
     stateDeadline_ = 0;
     nextExploreAllowed_ = 0;
     backoffExp_ = 0;
-    warnedThisWindow_ = false;
 
     // The budget assignment and its lease lived in process memory:
     // until the gOA pushes again, the agent runs on the safe floor

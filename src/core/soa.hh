@@ -14,9 +14,10 @@
  *    with exponential back-off on rack warning messages and
  *    resetting to the assigned budget on capping events
  *    (exploration/exploitation, §IV-D);
- *  - tracks per-core overclocked time-in-state, enforces the epoch
- *    overclocking budget, and reschedules overclocked VMs onto
- *    cores with remaining budget when theirs run out;
+ *  - charges each core's overclocked time against the epoch
+ *    overclocking budget (journaled, so it survives a crash), and
+ *    reschedules overclocked VMs onto cores with remaining budget
+ *    when theirs run out;
  *  - predicts power/lifetime exhaustion and signals the workload's
  *    global WI agent `exhaustionWindow` ahead so scale-out can
  *    happen before overclocking disappears (Fig. 11);
@@ -348,9 +349,6 @@ class ServerOverclockingAgent : public power::RackPowerListener
 
     OverclockBudget &lifetimeBudget() { return lifetime_; }
 
-    /** Per-core overclocked time-in-state tracker. */
-    const TimeInState &timeInState() const { return tis_; }
-
   private:
     struct ActiveOverclock {
         OverclockRequest request;
@@ -372,7 +370,7 @@ class ServerOverclockingAgent : public power::RackPowerListener
     /** Exploration / exploitation state machine. */
     void explorationStep(sim::Tick now);
 
-    /** Accrue per-core time-in-state, enforce lifetime budget. */
+    /** Accrue per-core epoch usage, enforce lifetime budget. */
     void lifetimeAccounting(sim::Tick now);
 
     /**
@@ -431,7 +429,6 @@ class ServerOverclockingAgent : public power::RackPowerListener
     const power::Rack *oracleRack_;
     AdmissionController admission_;
     OverclockBudget lifetime_;
-    TimeInState tis_;
 
     ProfileTemplate budget_;
     bool budgetAssigned_ = false;
@@ -482,7 +479,6 @@ class ServerOverclockingAgent : public power::RackPowerListener
     sim::Tick stateDeadline_ = 0;
     sim::Tick nextExploreAllowed_ = 0;
     int backoffExp_ = 0;
-    bool warnedThisWindow_ = false;
 
     // Lifetime accounting.
     std::vector<sim::Tick> coreUsedEpoch_;

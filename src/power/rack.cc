@@ -7,12 +7,18 @@ namespace soc
 namespace power
 {
 
-Rack::Rack(int id, Watts limit)
-    : id_(id), limitWatts_(limit)
+Rack::Rack(int id, Watts limit) : id_(id)
+{
+    setLimitWatts(limit);
+}
+
+void
+Rack::setLimitWatts(Watts watts)
 {
     // Checked in every build (a NaN fails the comparison).
-    if (!(limitWatts_ > Watts{0.0}))
+    if (!(watts > Watts{0.0}))
         throw std::invalid_argument("Rack: limit must be > 0");
+    limitWatts_ = watts;
 }
 
 Server &

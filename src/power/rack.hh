@@ -35,7 +35,10 @@ class Rack
     int id() const { return id_; }
 
     Watts limitWatts() const { return limitWatts_; }
-    void setLimitWatts(Watts watts) { limitWatts_ = watts; }
+
+    /** @throws std::invalid_argument, leaving the limit unchanged,
+     *  unless @p watts > 0 (NaN included), in every build. */
+    void setLimitWatts(Watts watts);
 
     /** Create and own a server using @p model. */
     Server &addServer(const PowerModel *model,

@@ -133,50 +133,11 @@ Server::setUtil(GroupId id, double util)
 }
 
 void
-Server::setUtilsAndTurboWatts(std::size_t count, const double *utils,
-                              const double *turboWatts)
-{
-    assert(count == groups_.size());
-    double power = 0.0;
-    double regular = 0.0;
-    double weighted = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-        CoreGroup &g = groups_[i];
-        g.util = std::clamp(utils[i], 0.0, 1.0);
-        const FreqMHz eff = g.effectiveMHz();
-        if (eff == kTurboMHz) {
-            // The hint is exactly corePower(util, turbo) scaled by
-            // the core count — the value refreshContrib would
-            // compute — so the model is not consulted at all.
-            powerContrib_[i] = turboWatts[i];
-            regularContrib_[i] = turboWatts[i];
-        } else if (eff > kTurboMHz) {
-            powerContrib_[i] =
-                (g.cores * model_->corePower(g.util, eff)).count();
-            regularContrib_[i] = turboWatts[i];
-        } else {
-            const Watts capped =
-                g.cores * model_->corePower(g.util, eff);
-            powerContrib_[i] = capped.count();
-            regularContrib_[i] = capped.count();
-        }
-        power += powerContrib_[i];
-        regular += regularContrib_[i];
-        weighted += g.cores * g.util;
-    }
-    powerSum_ = power;
-    regularSum_ = regular;
-    utilWeighted_ = weighted;
-}
-
-void
 Server::setUtilsAndTurboWatts(std::size_t count,
                               const std::uint16_t *utilsQ,
                               const float *turboWatts)
 {
-    // Mirror of the double overload above; the only differences are
-    // the one-time dequantization (already in [0, 1], so the clamp
-    // is unnecessary) and the float->double widening of the hint.
+    // A dequantized sample is already in [0, 1], so no clamp.
     assert(count == groups_.size());
     double power = 0.0;
     double regular = 0.0;
@@ -187,6 +148,9 @@ Server::setUtilsAndTurboWatts(std::size_t count,
         const double hint = static_cast<double>(turboWatts[i]);
         const FreqMHz eff = g.effectiveMHz();
         if (eff == kTurboMHz) {
+            // The hint is exactly corePower(util, turbo) scaled by
+            // the core count — the value refreshContrib would
+            // compute — so the model is not consulted at all.
             powerContrib_[i] = hint;
             regularContrib_[i] = hint;
         } else if (eff > kTurboMHz) {
@@ -216,16 +180,6 @@ Server::setTarget(GroupId id, FreqMHz f)
         return;
     groups_[pos].targetMHz = ladder_.clamp(f);
     refreshContrib(pos);
-    refreshSums();
-}
-
-void
-Server::setAllTargets(FreqMHz f)
-{
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-        groups_[i].targetMHz = ladder_.clamp(f);
-        refreshContrib(i);
-    }
     refreshSums();
 }
 

@@ -102,26 +102,16 @@ class Server
 
     /**
      * Batch utilization update by group *position* (not id), the
-     * fleet-replay fast path.  @p count must equal groups().size();
-     * utils[i] is groups()[i]'s new utilization and turboWatts[i]
-     * its precomputed turbo-frequency power contribution,
-     * (cores * corePower(utils[i], kTurboMHz)).count() — exactly
-     * what TraceGenerator emits alongside each utilization sample.
-     * Groups whose effective frequency is turbo (the common case)
-     * reuse the hint and cost zero corePower evaluations here;
-     * overclocked or capped groups cost one.
-     */
-    void setUtilsAndTurboWatts(std::size_t count, const double *utils,
-                               const double *turboWatts);
-
-    /**
-     * Compact-column form of the batch update: utilizations arrive
-     * as uint16 fixed point (sim/quant.hh) and the turbo-watts
-     * hints as float, dequantized exactly once here — the only
-     * place a stored window sample is widened back to double.  The
-     * hint must have been computed from the *dequantized*
-     * utilization (ServerTraceStream::generateQuantized does), so
-     * it remains the exact turbo-power summand for the group.
+     * fleet-replay fast path.  @p count must equal groups().size().
+     * utilsQ[i] is groups()[i]'s new utilization in uint16 fixed
+     * point (sim/quant.hh), dequantized exactly once here — the only
+     * place a stored window sample is widened back to double.
+     * turboWatts[i] is its precomputed turbo-frequency power
+     * contribution, cores * corePower(dequantUtil(utilsQ[i]),
+     * kTurboMHz), as ServerTraceStream::generateQuantized emits it
+     * beside each sample.  Groups whose effective frequency is turbo
+     * (the common case) reuse the hint and cost zero corePower
+     * evaluations here; overclocked or capped groups cost one.
      */
     void setUtilsAndTurboWatts(std::size_t count,
                                const std::uint16_t *utilsQ,
@@ -129,9 +119,6 @@ class Server
 
     /** Set a group's target frequency (clamped to the ladder). */
     void setTarget(GroupId id, FreqMHz f);
-
-    /** Set every group's target frequency. */
-    void setAllTargets(FreqMHz f);
 
     /** Current server power draw. */
     Watts powerWatts() const;

@@ -8,7 +8,7 @@ namespace soc
 namespace sim
 {
 
-TaskId
+void
 Simulator::every(Tick period, std::function<void(Tick)> task, Tick phase)
 {
     // Checked in every build, before any state changes: a period
@@ -16,54 +16,23 @@ Simulator::every(Tick period, std::function<void(Tick)> task, Tick phase)
     if (period <= 0)
         throw std::invalid_argument(
             "Simulator: periodic task needs a positive period");
-    const TaskId id = nextTask_++;
-    Periodic periodic;
-    periodic.period = period;
-    periodic.task = std::move(task);
-    periodics_.emplace(id, std::move(periodic));
+    Periodic &periodic = *periodics_.emplace_back(
+        std::make_unique<Periodic>(Periodic{period, std::move(task)}));
 
     const Tick first = now() + (phase < 0 ? period : phase);
-    periodics_[id].pending = queue_.schedule(first, [this, id](Tick) {
-        reschedule(id);
-    });
-    return id;
+    queue_.schedule(first, [this, &periodic](Tick) { fire(periodic); });
 }
 
 void
-Simulator::reschedule(TaskId id)
+Simulator::fire(Periodic &periodic)
 {
-    auto it = periodics_.find(id);
-    if (it == periodics_.end() || it->second.stopped)
-        return;
-
-    // The entry stays put while the task runs: map nodes do not
-    // move when the task adds tasks, and stopPeriodic() on a running
-    // task leaves the erase to us.  So the callable runs in place,
-    // with no per-firing copy.
-    Periodic &periodic = it->second;
-    periodic.pending = queue_.scheduleAfter(periodic.period,
-                                            [this, id](Tick) {
-        reschedule(id);
+    // The next firing is scheduled before the task runs, so events
+    // the task schedules for the same tick come after it.  The task
+    // runs in place, with no per-firing copy: its node never moves.
+    queue_.scheduleAfter(periodic.period, [this, &periodic](Tick) {
+        fire(periodic);
     });
-    periodic.running = true;
     periodic.task(now());
-    periodic.running = false;
-    if (periodic.stopped)
-        periodics_.erase(id);
-}
-
-bool
-Simulator::stopPeriodic(TaskId id)
-{
-    auto it = periodics_.find(id);
-    if (it == periodics_.end() || it->second.stopped)
-        return false;
-    it->second.stopped = true;
-    if (it->second.pending != kInvalidEvent)
-        queue_.cancel(it->second.pending);
-    if (!it->second.running)
-        periodics_.erase(it);
-    return true;
 }
 
 } // namespace sim

@@ -1,17 +1,17 @@
 /**
  * @file
- * Thin simulation driver over EventQueue: periodic tasks and named
- * simulation phases.  Periodic tasks are how control loops (sOA
- * feedback loop, gOA weekly budget recompute, WI metric polls) are
+ * Thin simulation driver over EventQueue: periodic tasks that run
+ * for the whole simulation.  Periodic tasks are how control loops
+ * (sOA feedback loop, gOA budget recompute, WI metric polls) are
  * expressed throughout the code base.
  */
 
 #ifndef SOC_SIM_SIMULATOR_HH
 #define SOC_SIM_SIMULATOR_HH
 
-#include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
@@ -20,9 +20,6 @@ namespace soc
 {
 namespace sim
 {
-
-/** Handle for a periodic task; used to stop it. */
-using TaskId = std::uint64_t;
 
 /**
  * Simulation driver.
@@ -46,8 +43,8 @@ class Simulator
     EventQueue &queue() { return queue_; }
 
     /**
-     * Run @p task every @p period ticks, starting at now() + @p phase.
-     * The task keeps rescheduling itself until stopped.
+     * Run @p task every @p period ticks, starting at now() + @p phase,
+     * for as long as the simulation runs.
      *
      * @param period  Interval between invocations; must be > 0, or
      *                std::invalid_argument is thrown (every build)
@@ -55,37 +52,25 @@ class Simulator
      * @param task    Callback receiving the invocation tick.
      * @param phase   Offset of the first invocation (default: one
      *                full period from now).
-     * @return handle usable with stopPeriodic().
      */
-    TaskId every(Tick period, std::function<void(Tick)> task,
-                 Tick phase = -1);
-
-    /** Stop a periodic task. @return true if it was running. */
-    bool stopPeriodic(TaskId id);
+    void every(Tick period, std::function<void(Tick)> task,
+               Tick phase = -1);
 
     /** Advance simulated time to @p until, executing due events. */
     void runUntil(Tick until) { queue_.runUntil(until); }
-
-    /** Run until no events remain (periodic tasks must be stopped
-     *  first or this never returns). */
-    void run() { queue_.run(); }
 
   private:
     struct Periodic {
         Tick period;
         std::function<void(Tick)> task;
-        EventId pending = kInvalidEvent;
-        bool stopped = false;
-        bool running = false; ///< task is executing; defer erase
     };
 
-    void reschedule(TaskId id);
+    void fire(Periodic &periodic);
 
     EventQueue queue_;
-    TaskId nextTask_ = 1;
-    // Lookup only — firing order comes from the event queue, never
-    // from hash iteration.  soclint:allow(DET-003)
-    std::unordered_map<TaskId, Periodic> periodics_;
+    /** One heap node per task: a running task may add tasks, so the
+     *  callable it runs in must not move when this vector grows. */
+    std::vector<std::unique_ptr<Periodic>> periodics_;
 };
 
 } // namespace sim

@@ -81,7 +81,6 @@ class Percentiles
 
     double p50() const { return quantile(0.50); }
     double p90() const { return quantile(0.90); }
-    double p95() const { return quantile(0.95); }
     double p99() const { return quantile(0.99); }
 
     double mean() const;

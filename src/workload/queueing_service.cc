@@ -185,14 +185,6 @@ QueueingService::setFrequency(InstanceId id, power::FreqMHz f)
         setInstanceFrequency(*inst, f);
 }
 
-void
-QueueingService::setAllFrequencies(power::FreqMHz f)
-{
-    for (auto &inst : instances_)
-        if (!inst->retired)
-            setInstanceFrequency(*inst, f);
-}
-
 power::FreqMHz
 QueueingService::frequency(InstanceId id) const
 {

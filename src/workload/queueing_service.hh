@@ -124,9 +124,6 @@ class QueueingService
     /** Set one instance's frequency (affects new request starts). */
     void setFrequency(InstanceId id, power::FreqMHz f);
 
-    /** Set all live instances' frequency. */
-    void setAllFrequencies(power::FreqMHz f);
-
     power::FreqMHz frequency(InstanceId id) const;
 
     /** Current offered load in requests/second; 0 pauses arrivals. */

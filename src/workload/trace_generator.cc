@@ -73,7 +73,7 @@ VmUtilCursor::remaining() const
 }
 
 void
-VmUtilCursor::generate(std::size_t n, double *out, std::size_t stride)
+VmUtilCursor::generate(std::size_t n, double *out)
 {
     if (n > remaining())
         throw std::out_of_range(
@@ -113,14 +113,14 @@ VmUtilCursor::generate(std::size_t n, double *out, std::size_t stride)
         const double base = archetype_.baseUtil;
         const double amp = dayAmplitude_;
         const double sigma = archetype_.noiseSigma;
-        double *dst = out + i * stride;
+        double *dst = out + i;
         for (std::size_t k = 0; k < seg; ++k) {
             // Exactly utilSeries' per-sample expression:
             // base + (shaped - base) * amp, then += normal(0, sigma)
             // = 0.0 + sigma * n, then clamp.
             double util = base + (shaped[k] - base) * amp;
             util += 0.0 + sigma * noise[k];
-            dst[k * stride] = std::clamp(util, 0.0, 1.0);
+            dst[k] = std::clamp(util, 0.0, 1.0);
         }
         next_ += static_cast<sim::Tick>(seg) * cfg_.interval;
         i += seg;
@@ -136,26 +136,6 @@ VmUtilCursor::reset()
     produced_ = 0;
     currentDay_ = -1;
     dayAmplitude_ = 1.0;
-}
-
-void
-ServerTraceStream::generate(std::size_t n, double *util,
-                            double *watts, std::size_t stride)
-{
-    // Column-at-a-time: VM v's samples fill before its watts hints,
-    // fusing the turbo-watts pass into the same cache-warm sweep.
-    // RNG draw order is unchanged (each cursor owns a split stream).
-    for (std::size_t v = 0; v < cursors_.size(); ++v) {
-        cursors_[v].generate(n, util + v, stride);
-        const int cores = mix_[v].cores;
-        for (std::size_t i = 0; i < n; ++i) {
-            // The exact vmTurboWatts summand of serverTrace().
-            const power::Watts contrib = cores *
-                model_->corePower(util[i * stride + v],
-                                  power::kTurboMHz);
-            watts[i * stride + v] = contrib.count();
-        }
-    }
 }
 
 void
@@ -180,7 +160,7 @@ ServerTraceStream::generateQuantized(std::size_t n,
         while (done < n) {
             const std::size_t m =
                 std::min(n - done, VmUtilCursor::kBatch);
-            cursors_[v].generate(m, col, 1);
+            cursors_[v].generate(m, col);
             for (std::size_t k = 0; k < m; ++k) {
                 const std::uint16_t q = sim::quantizeUtil(col[k]);
                 const double uq = sim::dequantUtil(q);
@@ -241,10 +221,8 @@ TraceGenerator::serverTrace(const std::vector<VmMix> &mix,
     ServerTrace trace;
     trace.mix = mix;
 
-    for (const auto &vm : mix) {
+    for (const auto &vm : mix)
         trace.vmUtil.push_back(utilSeries(vm.archetype));
-        trace.vmTurboWatts.emplace_back(cfg_.start, cfg_.interval);
-    }
 
     const std::size_t slots = trace.vmUtil.empty()
         ? 0
@@ -261,10 +239,8 @@ TraceGenerator::serverTrace(const std::vector<VmMix> &mix,
         for (std::size_t v = 0; v < mix.size(); ++v) {
             const double util = trace.vmUtil[v].at(i);
             weighted += mix[v].cores * util;
-            const power::Watts contrib = mix[v].cores *
+            watts += mix[v].cores *
                 model.corePower(util, power::kTurboMHz);
-            watts += contrib;
-            trace.vmTurboWatts[v].append(contrib.count());
         }
         trace.serverUtil.append(weighted / total_cores);
         trace.powerWatts.append(watts.count());
@@ -344,28 +320,6 @@ TraceGenerator::randomVmMix(int server_cores)
 
         mix.push_back({arch, vm_cores});
         free_cores -= vm_cores;
-    }
-    return mix;
-}
-
-std::vector<VmMix>
-TraceGenerator::mlHeavyMix(int server_cores)
-{
-    std::vector<VmMix> mix;
-    int free_cores = server_cores;
-    while (free_cores >= 16) {
-        Archetype arch = mlTraining();
-        arch.baseUtil = rng_.uniform(0.78, 0.88);
-        arch.peakUtil = std::min(1.0, arch.baseUtil + 0.08);
-        mix.push_back({arch, 16});
-        free_cores -= 16;
-    }
-    if (free_cores >= 2) {
-        Archetype arch;
-        arch.kind = ShapeKind::LowIdle;
-        arch.baseUtil = 0.05;
-        arch.peakUtil = 0.15;
-        mix.push_back({arch, free_cores});
     }
     return mix;
 }

@@ -13,6 +13,11 @@
  *    (statistical multiplexing, Fig. 6);
  *  - day-to-day amplitude wobble plus rare outlier days (holidays)
  *    that stress template robustness (§IV-B).
+ *
+ * The same traces come two ways: materialized in double precision
+ * (serverTrace, utilSeries) for the figure benches and as the tests'
+ * reference, and streamed window by window in quantized columns
+ * (serverTraceStream) for the replay.
  */
 
 #ifndef SOC_WORKLOAD_TRACE_GENERATOR_HH
@@ -43,14 +48,6 @@ struct ServerTrace {
     std::vector<VmMix> mix;
     /** Per-VM utilization series. */
     std::vector<telemetry::TimeSeries> vmUtil;
-    /**
-     * Per-VM power contribution at max turbo: sample i equals
-     * (mix[v].cores * corePower(vmUtil[v].at(i), kTurboMHz)).count()
-     * — precisely the summand of powerWatts and the hint
-     * Server::setUtilsAndTurboWatts consumes, so replay never
-     * re-evaluates the power model for uncapped groups.
-     */
-    std::vector<telemetry::TimeSeries> vmTurboWatts;
     /** Core-weighted server utilization (all cores). */
     telemetry::TimeSeries serverUtil;
     /** Server power at max turbo given serverUtil. */
@@ -100,12 +97,10 @@ class VmUtilCursor
 
     /**
      * Produce the next @p n samples of the series into
-     * out[0], out[stride], ..., out[(n-1)*stride] — a column of a
-     * slot-major buffer when @p stride is the fleet's VM count.
-     * Throws std::out_of_range, before drawing anything, when
-     * @p n exceeds remaining().
+     * out[0..n).  Throws std::out_of_range, before drawing
+     * anything, when @p n exceeds remaining().
      */
-    void generate(std::size_t n, double *out, std::size_t stride);
+    void generate(std::size_t n, double *out);
 
     /** Samples left before cfg.end. */
     std::size_t remaining() const;
@@ -129,13 +124,14 @@ class VmUtilCursor
 
 /**
  * Streaming telemetry source for one server: the windowed
- * counterpart of ServerTrace.  Each generate() call fills the next
- * window of per-VM utilization and turbo-watts columns of a
- * slot-major buffer, so replay never holds more than one window of
- * samples per rack (peak RSS scales with racks x window instead of
- * racks x horizon).  Created by TraceGenerator::serverTraceStream,
+ * counterpart of ServerTrace.  Each generateQuantized() call fills
+ * the next window of per-VM utilization and turbo-watts columns of
+ * a slot-major buffer, so replay never holds more than one window
+ * of samples per rack (peak RSS scales with racks x window instead
+ * of racks x horizon).  Created by TraceGenerator::serverTraceStream,
  * which consumes the parent stream exactly like serverTrace does —
- * the two are interchangeable draw-for-draw.
+ * the two are interchangeable draw-for-draw, and each stored sample
+ * is the quantized value of serverTrace's.
  */
 class ServerTraceStream
 {
@@ -146,32 +142,20 @@ class ServerTraceStream
     std::size_t vms() const { return cursors_.size(); }
 
     /**
-     * Fill the next @p n slots.  VM v's sample for the window's
-     * slot i lands at util[i * stride + v] (likewise watts):
-     * the caller passes pointers already offset to this server's
-     * first VM column of a slot-major window with row width
-     * @p stride.  Watts columns hold the per-VM turbo power
-     * contribution (mix[v].cores * corePower(util, kTurboMHz)), the
-     * exact summand ServerTrace::vmTurboWatts stores.  Throws
-     * std::out_of_range before filling anything when @p n runs past
-     * the horizon (every cursor sits at the same sample).
-     */
-    void generate(std::size_t n, double *util, double *watts,
-                  std::size_t stride);
-
-    /**
-     * Compact-column counterpart of generate(): fills the next @p n
-     * slots of quantized slot-major windows — uint16 fixed-point
-     * utilization (sim::quantizeUtil) and float turbo-watts hints.
-     * Consumes the RNG streams exactly like generate(), so the two
-     * forms are interchangeable window by window; the stored sample
-     * pair is (q, float(cores * corePower(dequantUtil(q), turbo))),
-     * i.e. the watts hint is computed from the *dequantized*
-     * utilization — exactly the summand the replay's batch server
-     * update consumes, so uncapped groups never re-evaluate the
-     * power model (DESIGN.md §14).  Like generate(), throws
-     * std::out_of_range before filling anything when @p n runs past
-     * the horizon.
+     * Fill the next @p n slots of quantized slot-major windows —
+     * uint16 fixed-point utilization (sim::quantizeUtil) and float
+     * turbo-watts hints.  VM v's sample for the window's slot i
+     * lands at util[i * stride + v] (likewise watts): the caller
+     * passes pointers already offset to this server's first VM
+     * column of a slot-major window with row width @p stride.  The
+     * stored sample pair is
+     * (q, float(cores * corePower(dequantUtil(q), turbo))), i.e. the
+     * watts hint is computed from the *dequantized* utilization —
+     * exactly the summand the replay's batch server update consumes,
+     * so uncapped groups never re-evaluate the power model
+     * (DESIGN.md §14).  Throws std::out_of_range before filling
+     * anything when @p n runs past the horizon (every cursor sits
+     * at the same sample).
      */
     void generateQuantized(std::size_t n, std::uint16_t *util,
                            float *watts, std::size_t stride);
@@ -215,12 +199,13 @@ class TraceGenerator
     /**
      * Streaming counterpart of serverTrace: same parent-stream
      * consumption (one split per VM, in mix order), but samples are
-     * produced lazily through ServerTraceStream::generate instead of
-     * being materialized.  A run that calls serverTraceStream where
-     * another called serverTrace leaves this generator in an
-     * identical state, and the streamed samples are bit-identical to
-     * the materialized ones.  @p model must outlive the stream.
-     * Rejects the mixes serverTrace rejects, the same way.
+     * produced lazily through ServerTraceStream::generateQuantized
+     * instead of being materialized.  A run that calls
+     * serverTraceStream where another called serverTrace leaves this
+     * generator in an identical state, and each streamed sample is
+     * quantizeUtil of the materialized one, bit for bit.  @p model
+     * must outlive the stream.  Rejects the mixes serverTrace
+     * rejects, the same way.
      */
     ServerTraceStream
     serverTraceStream(const std::vector<VmMix> &mix,
@@ -232,9 +217,6 @@ class TraceGenerator
      * a weighted archetype catalog with randomized phases.
      */
     std::vector<VmMix> randomVmMix(int server_cores);
-
-    /** Mix dominated by constant-high ML training (§V-A servers). */
-    std::vector<VmMix> mlHeavyMix(int server_cores);
 
     /**
      * Sum of per-server power traces: the rack-level power series

@@ -61,8 +61,6 @@ class WebConfDeployment
     /** Core-weighted mean utilization across the deployment. */
     double deploymentUtil() const;
 
-    double targetUtil() const { return targetUtil_; }
-
     /** @return true when the deployment-level goal is met. */
     bool meetsTarget() const { return deploymentUtil() <= targetUtil_; }
 

@@ -202,46 +202,6 @@ TEST(OverclockBudget, TimeToExhaustion)
               Tick{1} << 60); // effectively never
 }
 
-TEST(TimeInState, TracksPerCoreOverclockedTime)
-{
-    TimeInState tis(4);
-    EXPECT_EQ(tis.cores(), 4);
-    tis.startOverclock(0, 100);
-    EXPECT_TRUE(tis.overclocked(0));
-    EXPECT_EQ(tis.overclockedCores(), 1);
-    EXPECT_EQ(tis.overclockedTime(0, 600), 500);
-    tis.stopOverclock(0, 600);
-    EXPECT_FALSE(tis.overclocked(0));
-    EXPECT_EQ(tis.overclockedTime(0, 9999), 500);
-}
-
-TEST(TimeInState, AccumulatesAcrossEpisodes)
-{
-    TimeInState tis(2);
-    tis.startOverclock(1, 0);
-    tis.stopOverclock(1, 100);
-    tis.startOverclock(1, 200);
-    tis.stopOverclock(1, 350);
-    EXPECT_EQ(tis.overclockedTime(1, 1000), 250);
-    EXPECT_EQ(tis.totalOverclockedTime(1000), 250);
-}
-
-TEST(TimeInState, DoubleStartAndStopAreIdempotent)
-{
-    TimeInState tis(1);
-    tis.startOverclock(0, 0);
-    tis.startOverclock(0, 50); // ignored
-    tis.stopOverclock(0, 100);
-    tis.stopOverclock(0, 200); // ignored
-    EXPECT_EQ(tis.overclockedTime(0, 500), 100);
-}
-
-TEST(TimeInState, RejectsNoCores)
-{
-    EXPECT_THROW(TimeInState(0), std::invalid_argument);
-    EXPECT_THROW(TimeInState(-8), std::invalid_argument);
-}
-
 TEST(WearJournal, RejectsInvalidInputsInEveryBuild)
 {
     EXPECT_THROW(WearJournal(0, kWeek), std::invalid_argument);

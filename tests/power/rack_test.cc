@@ -72,3 +72,17 @@ TEST(Rack, RejectsNonPositiveOrNaNLimit)
     EXPECT_THROW(Rack(0, Watts{std::nan("")}), std::invalid_argument);
     EXPECT_NO_THROW(Rack(0, Watts{1.0}));
 }
+
+TEST(Rack, SetLimitRejectsNonPositiveOrNaNAndKeepsLimit)
+{
+    // The constructor's check, on a live rack: a bad limit would
+    // reach utilization(), evenShareWatts() and the rack manager.
+    Rack rack(0, Watts{1000.0});
+    for (const double bad : {0.0, -1.0, std::nan("")}) {
+        EXPECT_THROW(rack.setLimitWatts(Watts{bad}),
+                     std::invalid_argument);
+        EXPECT_EQ(rack.limitWatts(), Watts{1000.0});
+    }
+    rack.setLimitWatts(Watts{0.5});
+    EXPECT_EQ(rack.limitWatts(), Watts{0.5});
+}

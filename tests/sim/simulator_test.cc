@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "sim/simulator.hh"
 
@@ -35,57 +36,31 @@ TEST(Simulator, ZeroPhaseFiresImmediately)
     EXPECT_EQ(count, 1);
 }
 
-TEST(Simulator, StopPeriodicHaltsTask)
+TEST(Simulator, TaskCanStartTasksWhileRunning)
 {
+    // A running task adds 65 tasks, enough to regrow the task
+    // storage several times under it.  It keeps reading its own
+    // captures while and after it adds them, and it and every task
+    // it added then fire on schedule.
     Simulator sim;
-    int count = 0;
-    const TaskId id = sim.every(10, [&](Tick) { ++count; });
-    sim.runUntil(25);
-    EXPECT_TRUE(sim.stopPeriodic(id));
-    sim.runUntil(100);
-    EXPECT_EQ(count, 2);
-}
-
-TEST(Simulator, StopUnknownTaskFails)
-{
-    Simulator sim;
-    EXPECT_FALSE(sim.stopPeriodic(999));
-}
-
-TEST(Simulator, TaskCanStopItself)
-{
-    Simulator sim;
-    int count = 0;
-    TaskId id = 0;
-    id = sim.every(5, [&](Tick) {
-        if (++count == 3)
-            sim.stopPeriodic(id);
-    });
-    sim.runUntil(100);
-    EXPECT_EQ(count, 3);
-}
-
-TEST(Simulator, TaskCanStopItselfAndStartAnother)
-{
-    // The running task's entry outlives its own stopPeriodic() until
-    // the task returns, and a task added meanwhile runs normally.
-    Simulator sim;
-    int first = 0;
-    int second = 0;
-    TaskId id = 0;
-    id = sim.every(5, [&](Tick) {
-        if (++first == 2) {
-            EXPECT_TRUE(sim.stopPeriodic(id));
-            EXPECT_FALSE(sim.stopPeriodic(id));
-            for (int k = 0; k < 64; ++k) // rehash the task table
-                sim.every(1000, [](Tick) {});
-            sim.every(3, [&](Tick) { ++second; });
+    struct Log {
+        std::vector<Tick> parent;
+        std::vector<std::vector<Tick>> added;
+    } log;
+    log.added.resize(65);
+    sim.every(5, [&sim, &log](Tick t) {
+        if (log.parent.size() == 1) {
+            for (std::size_t k = 0; k < log.added.size(); ++k)
+                sim.every(3, [&log, k](Tick at) {
+                    log.added[k].push_back(at);
+                });
         }
+        log.parent.push_back(t);
     });
-    sim.runUntil(41);
-    EXPECT_EQ(first, 2);
-    EXPECT_EQ(second, 10); // t = 13, 16, ..., 40
-    EXPECT_FALSE(sim.stopPeriodic(id));
+    sim.runUntil(31);
+    EXPECT_EQ(log.parent, (std::vector<Tick>{5, 10, 15, 20, 25, 30}));
+    for (const auto &fired : log.added)
+        EXPECT_EQ(fired, (std::vector<Tick>{13, 16, 19, 22, 25, 28, 31}));
 }
 
 TEST(Simulator, MultiplePeriodicTasksInterleave)
@@ -130,8 +105,8 @@ TEST(Simulator, NonPositivePeriodThrowsAndAddsNoTask)
     ASSERT_TRUE(sim.queue().empty());
     sim.runUntil(100);
     EXPECT_EQ(fired, 0);
-    // Task ids are unchanged by the rejected calls.
-    EXPECT_FALSE(sim.stopPeriodic(1));
-    const TaskId id = sim.every(10, [&](Tick) { ++fired; });
-    EXPECT_EQ(id, 1u);
+    // The next valid task runs normally.
+    sim.every(10, [&](Tick) { ++fired; });
+    sim.runUntil(125);
+    EXPECT_EQ(fired, 2);
 }

@@ -302,7 +302,7 @@ TEST(QueueingService, FrequencyChangeAffectsNewWork)
     EXPECT_EQ(service.frequency(id), power::kTurboMHz);
     service.setFrequency(id, power::kOverclockMHz);
     EXPECT_EQ(service.frequency(id), power::kOverclockMHz);
-    service.setAllFrequencies(power::kTurboMHz);
+    service.setFrequency(id, power::kTurboMHz);
     EXPECT_EQ(service.frequency(id), power::kTurboMHz);
 }
 
